@@ -1,9 +1,9 @@
 //! Criterion microbenchmarks of the `rtad-ml` linear-algebra hot loops
-//! (matvec / matvec_t / matmul) at the shapes the deployed models use:
-//! the ELM's 16→64 hidden layer and the LSTM's gate matrices. These are
-//! the host-side training/inference kernels the PR-2 bounds-check
-//! elimination targets; the simulated engine path is benched separately
-//! in `engine.rs`.
+//! (matvec / matvec_t / matmul, and the lane-major batch product
+//! matmul_lanes) at the shapes the deployed models use: the ELM's
+//! 16→64 hidden layer and the LSTM's gate matrices. These are the
+//! host-side training/inference kernels; the simulated engine path is
+//! benched separately in `engine.rs`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -75,5 +75,26 @@ fn bench_matmul(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_matvec, bench_matmul);
+/// The batched-inference product at serving batch sizes: one lane
+/// (remainder path only), one full 8-lane block, the `dense_lstm`
+/// benchmark's mean batch (five blocks plus four remainder lanes), and
+/// a full 64-stream batch. Shapes are the deployed models' layers; the
+/// reported time covers the whole batch.
+fn bench_matmul_lanes(c: &mut Criterion) {
+    let mut group = c.benchmark_group("linalg_matmul_lanes");
+    // (rows, cols): ELM hidden layer (32×16), LSTM gates / logits (64×16).
+    for &(rows, cols) in &[(32usize, 16usize), (64, 16)] {
+        let w = dense(rows, cols, 8);
+        for &lanes in &[1usize, 8, 44, 64] {
+            let x = dense_vec(cols * lanes, 9);
+            let mut out = vec![0.0f32; rows * lanes];
+            group.bench_function(BenchmarkId::new(format!("{rows}x{cols}"), lanes), |b| {
+                b.iter(|| w.matmul_lanes(&x, lanes, &mut out));
+            });
+        }
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_matvec, bench_matmul, bench_matmul_lanes);
 criterion_main!(benches);

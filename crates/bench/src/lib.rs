@@ -443,12 +443,36 @@ impl fmt::Display for Fig8 {
     }
 }
 
+/// Test-only host-CPU lock. The tests that assert a wall-clock
+/// comparison (batched vs per-window engine dispatch) take it
+/// exclusively and every other simulator test of this crate takes it
+/// shared, so on a small host no other test's work lands in one side of
+/// a comparison. A poisoned lock only means a holder panicked; the
+/// guard protects no data.
+#[cfg(test)]
+pub(crate) mod host_cpu {
+    use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+
+    static LOCK: RwLock<()> = RwLock::new(());
+
+    /// For a test that asserts wall-clock timings.
+    pub(crate) fn exclusive() -> RwLockWriteGuard<'static, ()> {
+        LOCK.write().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// For any other test that runs the simulator.
+    pub(crate) fn shared() -> RwLockReadGuard<'static, ()> {
+        LOCK.read().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn table1_prints_all_rows() {
+        let _cpu = host_cpu::shared();
         let s = format!("{}", Table1::run());
         assert!(s.contains("Trace Analyzer"));
         assert!(s.contains("ML-MIAOW (5 CUs)"));
@@ -457,12 +481,14 @@ mod tests {
 
     #[test]
     fn table2_reproduces_sums() {
+        let _cpu = host_cpu::shared();
         let t = Table2::run();
         assert_eq!(t.sums(), vec![287_903, 167_721, 52_018]);
     }
 
     #[test]
     fn fig6_ordering_holds() {
+        let _cpu = host_cpu::shared();
         let f6 = Fig6::run(20_000);
         assert!(f6.geomean(TraceMechanism::Rtad) < f6.geomean(TraceMechanism::SwSys));
         assert!(f6.geomean(TraceMechanism::SwSys) < f6.geomean(TraceMechanism::SwFunc));
@@ -471,6 +497,7 @@ mod tests {
 
     #[test]
     fn fig7_rtad_beats_sw() {
+        let _cpu = host_cpu::shared();
         let f7 = Fig7::run(3_000);
         assert!(f7.rtad.total() < f7.sw.total());
     }

@@ -1065,13 +1065,13 @@ fn engine_scaling(setup: &ServeSetup, reps: usize) -> Vec<EngineScalingCell> {
             // single-core host, so this sweep takes more trials than
             // the throughput cells, and rotates which side is timed
             // first so periodic host interference cannot systematically
-            // tax one side. Both sides are deterministic, so — as in
-            // `measure_engine_speedup` — extra trials only converge
-            // each side toward its true floor: once the minimum trial
-            // count is in, keep sampling only while scheduler noise
-            // still has the batched-auto floor above the per-window
-            // one (at N ≤ 16 both floors are the *same code*, so a
-            // sub-1.0 ratio there is always a measurement artifact).
+            // tax one side. Both sides are deterministic, so extra
+            // trials only converge each side toward its true floor:
+            // once the minimum trial count is in, keep sampling only
+            // while scheduler noise still has the batched-auto floor
+            // above the per-window one (at N ≤ 16 both floors are the
+            // *same code*, so a sub-1.0 ratio there is always a
+            // measurement artifact).
             const MIN_TRIALS: usize = 9;
             const MAX_TRIALS: usize = 45;
             let mut best = [f64::INFINITY; 3];
@@ -2156,6 +2156,7 @@ mod tests {
     /// produced, and the JSON carries every section of the schema.
     #[test]
     fn serve_report_measures_and_serializes() {
+        let _cpu = crate::host_cpu::exclusive();
         let report = ServeReport::measure(21, 512, &[1, 2], 1, &[200], &[120]);
         assert_eq!(report.cells.len(), 4);
         // Sparse sweep at one registered count: one_pct + ten_pct per
@@ -2335,6 +2336,7 @@ mod tests {
     /// 0.942x auto regressions this report used to record).
     #[test]
     fn auto_engine_mode_is_not_slower_than_serial() {
+        let _cpu = crate::host_cpu::exclusive();
         let cmp = measure_engine_speedup(33, 4);
         assert!(cmp.cycles_match());
         assert!(

@@ -3,30 +3,39 @@
 //! A detection host multiplexing many victim streams scores one window
 //! per stream per tick. Scoring each window with a separate
 //! [`Matrix::matvec`] pays per-call dispatch (and for the LSTM, per-step
-//! temporary allocation) B times; stacking the B ready windows as the
-//! rows of one matrix turns the same arithmetic into a single
-//! [`Matrix::matmul_t`] per layer.
+//! temporary allocation) B times. The batch kernels instead lay the B
+//! ready windows out **one stream per lane**, as the paper's engine lays
+//! inputs across the SIMD lanes of a wavefront: the operand of each
+//! layer is a lane-major `k × B` buffer (element `j` of every stream's
+//! vector in one contiguous row), and one [`Matrix::matmul_lanes`] per
+//! layer computes all B products with the lanes along the vectorised
+//! axis.
 //!
 //! **Bit-identity contract.** Every batched score equals the scalar
-//! path's score bit for bit, because `matmul_t` computes each output
-//! row with exactly [`Matrix::matvec`]'s accumulation semantics (one
-//! `f64` dot per element, rounded to `f32` once) and every elementwise
-//! stage (bias add, gate nonlinearities, cell update, clipped softmax,
-//! squared-error reduction) reuses the scalar path's operations in the
-//! scalar path's order. The property tests in
-//! `tests/batch_equivalence.rs` pin this across random batch shapes;
-//! `rtad-soc`'s pipeline relies on it so batching can never change a
-//! verdict.
+//! path's score bit for bit. `matmul_lanes` computes each output with
+//! exactly [`Matrix::matvec`]'s semantics (one `f64` dot per element,
+//! accumulated in index order and rounded to `f32` once); the LSTM's
+//! input-projection table holds `matvec` results computed once per
+//! token; and every elementwise stage (bias add, gate nonlinearities,
+//! cell update, clipped softmax, squared-error reduction) reuses the
+//! scalar path's operations in the scalar path's order. The property
+//! tests in `tests/batch_equivalence.rs` pin this across random batch
+//! shapes; `rtad-soc`'s pipeline relies on it so batching can never
+//! change a verdict.
 //!
 //! The LSTM side steps **in lockstep**: one [`LstmLane`] per stream
 //! holds that stream's recurrent state, and one `score_next_batch` call
-//! advances every lane by one token (the same timestep), stacking the
-//! hidden states. Lanes are independent — a stream ending mid-batch
-//! simply stops contributing a lane; the others are unaffected.
+//! advances every lane by one token (the same timestep). Lanes are
+//! independent — a stream ending mid-batch simply stops contributing a
+//! lane; the others are unaffected.
+//!
+//! [`Matrix::matvec`]: crate::Matrix::matvec
+//! [`Matrix::matmul_lanes`]: crate::Matrix::matmul_lanes
+
+use std::iter::repeat_n;
 
 use crate::elm::{sigmoid, Elm};
-use crate::linalg::Matrix;
-use crate::lstm::{dev_tanh, softmax_clipped, softmax_clipped_into, Lstm};
+use crate::lstm::{dev_tanh, softmax_clipped_in_place, Lstm};
 
 // The cross-stream batch former's intake runs on a dedicated consumer
 // thread in the sharded serving plane (`rtad-soc::shard`): the arena
@@ -42,7 +51,7 @@ const _: () = {
 /// Reusable scratch for batched inference: the stacked input rows plus
 /// every intermediate buffer the batch kernels need. One arena lives
 /// per inference worker; after the first batch warms its buffers up to
-/// the steady batch shape, scoring allocates nothing.
+/// the largest batch shape, scoring allocates nothing.
 ///
 /// For ELM, callers stack windows with [`BatchArena::begin`] +
 /// [`BatchArena::push_row`] and hand the arena to
@@ -51,20 +60,17 @@ const _: () = {
 /// arena can serve both models (the buffers are shape-agnostic).
 #[derive(Debug, Default)]
 pub struct BatchArena {
-    /// Stacked input rows, row-major (`rows × cols`).
+    /// Stacked input rows, row-major (`rows × cols`), as pushed.
     x: Vec<f32>,
     cols: usize,
     rows: usize,
-    /// Stacked per-lane hidden states (LSTM).
-    hstack: Vec<f32>,
-    /// First matmul product (ELM pre-activations / LSTM `W·x`, logits).
+    /// Lane-major operand (`k × B`): the ELM's transposed inputs, the
+    /// LSTM's hidden states.
+    lanes: Vec<f32>,
+    /// First product, lane-major (ELM hidden layer / LSTM `U·h`).
     p1: Vec<f32>,
-    /// Second matmul product (ELM reconstruction / LSTM `U·h`).
+    /// Second product, lane-major (ELM reconstruction / LSTM logits).
     p2: Vec<f32>,
-    /// One lane's gate pre-activations (`4 × hidden`).
-    z: Vec<f32>,
-    /// One lane's biased logits.
-    tmp: Vec<f32>,
 }
 
 impl BatchArena {
@@ -143,8 +149,8 @@ impl Elm {
 
     /// Scores the rows stacked in `arena` into `out` (cleared first),
     /// bit-identical to [`Elm::score`] per row. The allocation-free
-    /// core: with a warmed arena and pre-sized `out`, a batch of the
-    /// steady shape never touches the heap.
+    /// core: with a warmed arena and pre-sized `out`, a batch no larger
+    /// than the largest seen so far never touches the heap.
     ///
     /// # Panics
     ///
@@ -158,26 +164,27 @@ impl Elm {
         let input_dim = self.config().input_dim;
         assert_eq!(arena.cols, input_dim, "arena row width");
         let hidden = self.config().hidden;
-        // X: B × input. One matmul_t per layer replaces B matvecs; the
-        // arena's buffers move into Matrix views and back without copies.
-        let x = Matrix::from_vec(b, input_dim, std::mem::take(&mut arena.x));
-        x.matmul_t_into(self.w_in(), &mut arena.p1);
-        for row in arena.p1.chunks_exact_mut(hidden) {
-            for (v, bias) in row.iter_mut().zip(self.b_in()) {
-                *v = sigmoid(*v + bias);
+        // Transpose the pushed rows so each window owns one lane.
+        arena.lanes.resize(input_dim * b, 0.0);
+        for (slot, row) in arena.x.chunks_exact(input_dim).enumerate() {
+            for (j, &v) in row.iter().enumerate() {
+                arena.lanes[j * b + slot] = v;
             }
         }
-        let h = Matrix::from_vec(b, hidden, std::mem::take(&mut arena.p1));
-        h.matmul_t_into(self.w_out(), &mut arena.p2);
+        arena.p1.resize(hidden * b, 0.0);
+        self.w_in().matmul_lanes(&arena.lanes, b, &mut arena.p1);
+        // Hidden unit i is row i: its bias applies to all b lanes.
+        let biases = self.b_in().iter().flat_map(|bias| repeat_n(bias, b));
+        for (v, bias) in arena.p1.iter_mut().zip(biases) {
+            *v = sigmoid(*v + bias);
+        }
+        arena.p2.resize(input_dim * b, 0.0);
+        self.w_out().matmul_lanes(&arena.p1, b, &mut arena.p2);
         out.reserve(b);
-        for (row, xrow) in arena
-            .p2
-            .chunks_exact(input_dim)
-            .zip(x.as_slice().chunks_exact(input_dim))
-        {
+        for (slot, xrow) in arena.x.chunks_exact(input_dim).enumerate() {
+            let rec = arena.p2[slot..].iter().step_by(b);
             out.push(
-                row.iter()
-                    .zip(xrow)
+                rec.zip(xrow)
                     .map(|(r, v)| {
                         let d = f64::from(r - v);
                         d * d
@@ -185,23 +192,22 @@ impl Elm {
                     .sum(),
             );
         }
-        arena.p1 = h.into_vec();
-        arena.x = x.into_vec();
     }
 }
 
 /// One stream's recurrent LSTM state for lockstep batch stepping: the
 /// per-stream half of what [`Lstm`] keeps internally for the scalar
 /// path (hidden and cell vectors plus the standing next-token
-/// prediction).
+/// prediction), held in one allocation.
 /// `Default` is an *empty placeholder* lane (zero-width state) used to
 /// move lanes in and out of slots without allocating; it must be
 /// replaced by a real lane (from [`Lstm::lane`]) before stepping.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct LstmLane {
-    h: Vec<f32>,
-    c: Vec<f32>,
-    probs: Vec<f32>,
+    /// `h | c | probs`: hidden and cell state (`hidden` wide each),
+    /// then the standing prediction (`vocab` wide).
+    state: Vec<f32>,
+    hidden: usize,
 }
 
 impl LstmLane {
@@ -210,30 +216,41 @@ impl LstmLane {
     /// state).
     pub fn new(lstm: &Lstm) -> Self {
         let hd = lstm.config().hidden;
-        let h = vec![0.0; hd];
-        let c = vec![0.0; hd];
-        let probs = softmax_clipped(&lstm.logits(&h));
-        LstmLane { h, c, probs }
+        let mut state = vec![0.0; 2 * hd + lstm.config().vocab];
+        // The prediction from the zero state, computed in place:
+        // `Lstm::logits` of `h = 0`, then the clipped softmax.
+        let (hc, probs) = state.split_at_mut(2 * hd);
+        lstm.w_out().matmul_lanes(&hc[..hd], 1, probs);
+        for (p, bo) in probs.iter_mut().zip(lstm.b_out()) {
+            *p += bo;
+        }
+        softmax_clipped_in_place(probs);
+        LstmLane { state, hidden: hd }
     }
 
     /// The standing next-token probability distribution (matches
     /// [`Lstm::prediction`] of a scalar model with the same history).
     pub fn prediction(&self) -> &[f32] {
-        &self.probs
+        &self.state[2 * self.hidden..]
     }
 
     /// The hidden and cell state (for equivalence tests).
     pub fn state(&self) -> (&[f32], &[f32]) {
-        (&self.h, &self.c)
+        self.state[..2 * self.hidden].split_at(self.hidden)
     }
 
-    /// Resident bytes of this lane (struct plus owned state vectors) —
+    /// Hidden state, cell state and prediction, mutably.
+    fn parts_mut(&mut self) -> (&mut [f32], &mut [f32], &mut [f32]) {
+        let (h, rest) = self.state.split_at_mut(self.hidden);
+        let (c, probs) = rest.split_at_mut(self.hidden);
+        (h, c, probs)
+    }
+
+    /// Resident bytes of this lane (struct plus owned state buffer) —
     /// the per-stream recurrent-model cost in the sparse serving
     /// report's memory-per-stream accounting.
     pub fn resident_bytes(&self) -> usize {
-        std::mem::size_of::<Self>()
-            + (self.h.capacity() + self.c.capacity() + self.probs.capacity())
-                * std::mem::size_of::<f32>()
+        std::mem::size_of::<Self>() + self.state.capacity() * std::mem::size_of::<f32>()
     }
 }
 
@@ -248,10 +265,13 @@ impl Lstm {
     /// [`crate::SequenceModel::score_next`] on a scalar model carrying
     /// the same history.
     ///
-    /// The embedding lookups, gate pre-activations (`W·x` and `U·h`)
-    /// and output logits for all `B` lanes run as single
-    /// [`Matrix::matmul_t`] calls over the stacked rows; the elementwise
-    /// stages replicate the scalar step per lane.
+    /// Each lane's `W·x` is a row of the model's per-token input
+    /// projection table; `U·h` and the output logits for all `B` lanes
+    /// run as single [`Matrix::matmul_lanes`] calls over the lane-major
+    /// hidden states; the elementwise stages replicate the scalar step
+    /// per lane.
+    ///
+    /// [`Matrix::matmul_lanes`]: crate::Matrix::matmul_lanes
     ///
     /// # Panics
     ///
@@ -276,9 +296,10 @@ impl Lstm {
     ///
     /// Lanes are addressed by index into a caller-owned pool so no
     /// per-batch `Vec<&mut LstmLane>` is needed; with a warmed `arena`
-    /// and pre-sized `out`, a batch of the steady shape never touches
-    /// the heap. Scores and lane states are bit-identical to the
-    /// allocating wrapper (and hence to the scalar path).
+    /// and pre-sized `out`, a batch no larger than the largest seen so
+    /// far never touches the heap. Scores and lane states are
+    /// bit-identical to the allocating wrapper (and hence to the scalar
+    /// path).
     ///
     /// # Panics
     ///
@@ -299,7 +320,6 @@ impl Lstm {
         }
         let vocab = self.config().vocab;
         let hd = self.config().hidden;
-        let embed = self.config().embed;
         for &t in tokens {
             assert!((t as usize) < vocab, "token outside vocabulary");
         }
@@ -308,92 +328,55 @@ impl Lstm {
         // state advances — exactly score_next's order.
         out.reserve(idx.len());
         for (&li, &t) in idx.iter().zip(tokens) {
-            let p = lanes[li].probs[t as usize].max(1e-12);
+            let p = lanes[li].prediction()[t as usize].max(1e-12);
             out.push(-f64::from(p.ln()));
         }
 
-        // Stack the timestep: X (B × embed) gathers embeddings, Hprev
-        // (B × hidden) stacks the lanes' hidden states. The arena's
-        // stacks move into Matrix views and back without copies.
+        // Hprev, lane-major (hidden × B), then U·h for every lane in
+        // one product (4·hidden × B).
         let b = idx.len();
-        arena.begin(embed);
-        for &t in tokens {
-            arena.push_row(self.embedding().row(t as usize));
-        }
-        let x = Matrix::from_vec(b, embed, std::mem::take(&mut arena.x));
-        x.matmul_t_into(self.w(), &mut arena.p1); // W·x: B × 4·hidden
-        arena.x = x.into_vec();
-
-        arena.hstack.clear();
-        for &li in idx {
-            arena.hstack.extend_from_slice(&lanes[li].h);
-        }
-        let h_prev = Matrix::from_vec(b, hd, std::mem::take(&mut arena.hstack));
-        h_prev.matmul_t_into(self.u(), &mut arena.p2); // U·h: B × 4·hidden
-        arena.hstack = h_prev.into_vec();
-
+        arena.lanes.resize(hd * b, 0.0);
         for (slot, &li) in idx.iter().enumerate() {
-            let wx_row = &arena.p1[slot * 4 * hd..(slot + 1) * 4 * hd];
-            let uh_row = &arena.p2[slot * 4 * hd..(slot + 1) * 4 * hd];
-            // z = Wx + Uh + b, gates i,f,g,o — the scalar step verbatim.
-            arena.z.clear();
-            arena.z.extend(
-                wx_row
-                    .iter()
-                    .zip(uh_row)
-                    .zip(self.b())
-                    .map(|((a, b2), bias)| a + b2 + bias),
-            );
-            let lane = &mut lanes[li];
-            // Split the gate block once so the per-element loop is
-            // bounds-check-free; the arithmetic (and its order) is the
-            // scalar step verbatim.
-            let (zi, rest) = arena.z.split_at(hd);
-            let (zf, rest) = rest.split_at(hd);
-            let (zg, zo) = rest.split_at(hd);
-            for (((((c, h), &zi), &zf), &zg), &zo) in lane
-                .c
-                .iter_mut()
-                .zip(lane.h.iter_mut())
-                .zip(zi)
-                .zip(zf)
-                .zip(zg)
-                .zip(zo)
-            {
-                let i = sigmoid(zi);
-                let f = sigmoid(zf);
-                let g = dev_tanh(zg);
-                let o = sigmoid(zo);
+            for (j, &v) in lanes[li].state().0.iter().enumerate() {
+                arena.lanes[j * b + slot] = v;
+            }
+        }
+        arena.p1.resize(4 * hd * b, 0.0);
+        self.u().matmul_lanes(&arena.lanes, b, &mut arena.p1);
+
+        // z = Wx + Uh + b, gates i,f,g,o — the scalar step's arithmetic
+        // in its order, with Wx gathered from the table. Each new hidden
+        // state also lands in its lane of the stack for the logits.
+        let table = self.wx_table();
+        let bias = self.b();
+        let uh = &arena.p1;
+        for (slot, (&li, &t)) in idx.iter().zip(tokens).enumerate() {
+            let wx = table.row(t as usize);
+            let z = |r: usize| wx[r] + uh[r * b + slot] + bias[r];
+            let (h, c, _) = lanes[li].parts_mut();
+            for (j, (h, c)) in h.iter_mut().zip(c.iter_mut()).enumerate() {
+                let i = sigmoid(z(j));
+                let f = sigmoid(z(hd + j));
+                let g = dev_tanh(z(2 * hd + j));
+                let o = sigmoid(z(3 * hd + j));
                 *c = f * *c + i * g;
                 *h = o * dev_tanh(*c);
+                arena.lanes[j * b + slot] = *h;
             }
         }
 
-        // Refresh every lane's prediction: one matmul_t for all logits.
-        arena.hstack.clear();
-        for &li in idx {
-            arena.hstack.extend_from_slice(&lanes[li].h);
-        }
-        let h_new = Matrix::from_vec(b, hd, std::mem::take(&mut arena.hstack));
-        h_new.matmul_t_into(self.w_out(), &mut arena.p1); // logits: B × vocab
-        arena.hstack = h_new.into_vec();
+        // Refresh every lane's prediction: one product for all logits
+        // (vocab × B), biased straight into each lane's prediction.
+        arena.p2.resize(vocab * b, 0.0);
+        self.w_out().matmul_lanes(&arena.lanes, b, &mut arena.p2);
         for (slot, &li) in idx.iter().enumerate() {
-            let lrow = &arena.p1[slot * vocab..(slot + 1) * vocab];
-            arena.tmp.clear();
-            arena
-                .tmp
-                .extend(lrow.iter().zip(self.b_out()).map(|(v, bo)| v + bo));
-            softmax_clipped_into(&arena.tmp, &mut lanes[li].probs);
+            let (_, _, probs) = lanes[li].parts_mut();
+            for (v, (p, bo)) in probs.iter_mut().zip(self.b_out()).enumerate() {
+                *p = arena.p2[v * b + slot] + bo;
+            }
+            softmax_clipped_in_place(probs);
         }
     }
-}
-
-/// Scores one batch of ELM windows, pairing each score back to its
-/// caller-supplied tag (the pipeline's stream ids).
-pub fn elm_score_tagged<T: Copy>(elm: &Elm, windows: &[(T, Vec<f32>)]) -> Vec<(T, f64)> {
-    let rows: Vec<&[f32]> = windows.iter().map(|(_, v)| v.as_slice()).collect();
-    let scores = elm.score_batch(&rows);
-    windows.iter().map(|(tag, _)| *tag).zip(scores).collect()
 }
 
 #[cfg(test)]
@@ -476,19 +459,6 @@ mod tests {
         let (h, c) = lane.state();
         assert!(h.iter().all(|&v| v == 0.0));
         assert!(c.iter().all(|&v| v == 0.0));
-    }
-
-    #[test]
-    fn tagged_elm_scores_keep_their_tags() {
-        let elm = trained_elm(8);
-        let windows: Vec<(usize, Vec<f32>)> = (0..4)
-            .map(|i| (10 + i, (0..8).map(|j| (i + j) as f32 * 0.1).collect()))
-            .collect();
-        let scored = elm_score_tagged(&elm, &windows);
-        for ((tag, x), (stag, s)) in windows.iter().zip(&scored) {
-            assert_eq!(tag, stag);
-            assert_eq!(elm.score(x), *s);
-        }
     }
 
     #[test]

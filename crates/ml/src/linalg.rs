@@ -1,10 +1,11 @@
 //! Minimal dense linear algebra for the ML models.
 //!
 //! Row-major `f32` matrices with the handful of operations the models
-//! need: products, transpose, and a ridge-regularized least-squares
-//! solver (the ELM's closed-form training step). Accumulations run in
-//! `f64` for stability; storage stays `f32` to match what the device
-//! kernels compute.
+//! need: products (among them the lane-major batch product
+//! [`Matrix::matmul_lanes`]), transpose, and a ridge-regularized
+//! least-squares solver (the ELM's closed-form training step).
+//! Accumulations run in `f64` for stability; storage stays `f32` to
+//! match what the device kernels compute.
 
 use std::fmt;
 use std::ops::{Index, IndexMut};
@@ -29,12 +30,10 @@ pub struct Matrix {
     data: Vec<f32>,
 }
 
-/// Tile edge for the cache-blocked `matmul_t` kernel. 32×32 output
-/// tiles keep a tile's worth of `rhs` rows resident in L1/L2 while the
-/// `self` rows stream past; blocking is over *output* coordinates only,
-/// so each element remains a single full-length dot product and the
-/// bit-identity contract of [`Matrix::matmul_t`] is preserved.
-const MATMUL_T_TILE: usize = 32;
+/// Lanes per block in [`Matrix::matmul_lanes`]: eight `f64`
+/// accumulators, one per lane, fill four SSE2 registers and give four
+/// independent add chains.
+const LANE_BLOCK: usize = 8;
 
 impl Matrix {
     /// A `rows × cols` zero matrix.
@@ -177,91 +176,83 @@ impl Matrix {
         out.into_iter().map(|v| v as f32).collect()
     }
 
-    /// Matrix product `self * rhsᵀ`, with [`Matrix::matvec`] rounding
-    /// semantics: every output element is one `f64`-accumulated dot
-    /// product of a `self` row and a `rhs` row, rounded to `f32` once.
+    /// Matrix product `self · X` for a **lane-major** operand: `x` is
+    /// `cols × lanes` row-major, so column `b` is lane `b`'s input
+    /// vector and each row holds one input element for every lane. The
+    /// `rows × lanes` result goes to `out`, lane-major as well.
     ///
-    /// This is the batched-inference primitive: row `i` of the result
-    /// equals `rhs.matvec(self.row(i))` bit for bit, so stacking B
-    /// input vectors as the rows of `self` scores a whole batch in one
-    /// call without perturbing any single-vector score. (Plain
-    /// [`Matrix::matmul`] rounds to `f32` after every accumulation step
-    /// — different semantics, kept for the training path that was tuned
-    /// against it.)
+    /// This is the batched-inference primitive, with one stream per
+    /// lane as in a wavefront. Every output element is one `f64` dot
+    /// product accumulated in column order and rounded to `f32` once.
+    /// Each `f32 × f32` product is exact in `f64`, so column `b` of the
+    /// result equals `self.matvec(column b of x)` bit for bit, whatever
+    /// the lane count. (Plain [`Matrix::matmul`] rounds to `f32` after
+    /// every accumulation step — different semantics, kept for the
+    /// training path that was tuned against it.)
     ///
-    /// # Panics
-    ///
-    /// Panics if `self.cols != rhs.cols`.
-    pub fn matmul_t(&self, rhs: &Matrix) -> Matrix {
-        let mut data = Vec::with_capacity(self.rows * rhs.rows);
-        self.matmul_t_into(rhs, &mut data);
-        Matrix::from_vec(self.rows, rhs.rows, data)
-    }
-
-    /// `self * rhsᵀ` into a caller-owned flat row-major buffer (cleared,
-    /// then resized to `self.rows * rhs.rows`).
-    ///
-    /// This is the cache-blocked core of [`Matrix::matmul_t`]: the
-    /// output is walked in [`MATMUL_T_TILE`]-square tiles so a tile's
-    /// worth of `rhs` rows stays cache-resident while the batch rows
-    /// stream past it, and within a tile four output columns advance
-    /// together so their `f64` accumulators form independent dependency
-    /// chains (a single chain is latency-bound: ~4 cycles per add, which
-    /// dominates small-model inference). Blocking and interleaving cover
-    /// output coordinates only — every element is still one full-length
-    /// `f64` dot accumulated in index order and rounded to `f32` once,
-    /// so results are bit-identical to the unblocked kernel and row `i`
-    /// still equals `rhs.matvec(self.row(i))` exactly.
+    /// Full blocks of eight lanes (`LANE_BLOCK`) advance together along
+    /// the contiguous axis, which LLVM vectorises on the baseline SSE2
+    /// target. The remaining `lanes % LANE_BLOCK` lanes run one at a
+    /// time, four output rows per pass, so a small batch still has four
+    /// independent accumulator chains instead of one latency-bound one.
     ///
     /// # Panics
     ///
-    /// Panics if `self.cols != rhs.cols`.
-    pub fn matmul_t_into(&self, rhs: &Matrix, out: &mut Vec<f32>) {
-        assert_eq!(self.cols, rhs.cols, "matmul_t dimension mismatch");
-        let n = rhs.rows;
-        let c = rhs.cols;
-        out.clear();
-        out.resize(self.rows * n, 0.0);
-        for i0 in (0..self.rows).step_by(MATMUL_T_TILE) {
-            let i1 = (i0 + MATMUL_T_TILE).min(self.rows);
-            for j0 in (0..n).step_by(MATMUL_T_TILE) {
-                let j1 = (j0 + MATMUL_T_TILE).min(n);
-                let bblock = &rhs.data[j0 * c..j1 * c];
-                for i in i0..i1 {
-                    let arow = &self.data[i * self.cols..(i + 1) * self.cols];
-                    let orow = &mut out[i * n + j0..i * n + j1];
-                    let mut ochunks = orow.chunks_exact_mut(4);
-                    let mut bchunks = bblock.chunks_exact(4 * c);
-                    for (og, bg) in ochunks.by_ref().zip(bchunks.by_ref()) {
-                        let (b0, rest) = bg.split_at(c);
-                        let (b1, rest) = rest.split_at(c);
-                        let (b2, b3) = rest.split_at(c);
-                        let (mut s0, mut s1, mut s2, mut s3) = (0f64, 0f64, 0f64, 0f64);
-                        for ((((a, x0), x1), x2), x3) in arow.iter().zip(b0).zip(b1).zip(b2).zip(b3)
-                        {
-                            let av = f64::from(*a);
-                            s0 += av * f64::from(*x0);
-                            s1 += av * f64::from(*x1);
-                            s2 += av * f64::from(*x2);
-                            s3 += av * f64::from(*x3);
-                        }
-                        og[0] = s0 as f32;
-                        og[1] = s1 as f32;
-                        og[2] = s2 as f32;
-                        og[3] = s3 as f32;
-                    }
-                    for (o, brow) in ochunks
-                        .into_remainder()
-                        .iter_mut()
-                        .zip(bchunks.remainder().chunks_exact(c))
-                    {
-                        let mut acc = 0f64;
-                        for (a, b) in arow.iter().zip(brow) {
-                            acc += f64::from(*a) * f64::from(*b);
-                        }
-                        *o = acc as f32;
+    /// Panics if `lanes` is zero, `x.len() != cols * lanes`, or
+    /// `out.len() != rows * lanes`.
+    pub fn matmul_lanes(&self, x: &[f32], lanes: usize, out: &mut [f32]) {
+        assert!(lanes > 0, "matmul_lanes needs at least one lane");
+        assert_eq!(x.len(), self.cols * lanes, "matmul_lanes operand shape");
+        assert_eq!(out.len(), self.rows * lanes, "matmul_lanes output shape");
+        let k = self.cols;
+        let full = lanes - lanes % LANE_BLOCK;
+        for (wrow, orow) in self.data.chunks_exact(k).zip(out.chunks_exact_mut(lanes)) {
+            for b0 in (0..full).step_by(LANE_BLOCK) {
+                let mut acc = [0f64; LANE_BLOCK];
+                for (&w, xrow) in wrow.iter().zip(x.chunks_exact(lanes)) {
+                    let w = f64::from(w);
+                    let xs: &[f32; LANE_BLOCK] = xrow[b0..b0 + LANE_BLOCK]
+                        .try_into()
+                        .expect("block inside the row");
+                    for (a, &v) in acc.iter_mut().zip(xs) {
+                        *a += w * f64::from(v);
                     }
                 }
+                for (o, a) in orow[b0..b0 + LANE_BLOCK].iter_mut().zip(acc) {
+                    *o = a as f32;
+                }
+            }
+        }
+        for b in full..lanes {
+            let mut wgroups = self.data.chunks_exact(4 * k);
+            let mut row = 0;
+            for wg in wgroups.by_ref() {
+                let (w0, rest) = wg.split_at(k);
+                let (w1, rest) = rest.split_at(k);
+                let (w2, w3) = rest.split_at(k);
+                let (mut s0, mut s1, mut s2, mut s3) = (0f64, 0f64, 0f64, 0f64);
+                for ((((xrow, a0), a1), a2), a3) in
+                    x.chunks_exact(lanes).zip(w0).zip(w1).zip(w2).zip(w3)
+                {
+                    let xv = f64::from(xrow[b]);
+                    s0 += f64::from(*a0) * xv;
+                    s1 += f64::from(*a1) * xv;
+                    s2 += f64::from(*a2) * xv;
+                    s3 += f64::from(*a3) * xv;
+                }
+                out[row * lanes + b] = s0 as f32;
+                out[(row + 1) * lanes + b] = s1 as f32;
+                out[(row + 2) * lanes + b] = s2 as f32;
+                out[(row + 3) * lanes + b] = s3 as f32;
+                row += 4;
+            }
+            for wrow in wgroups.remainder().chunks_exact(k) {
+                let mut acc = 0f64;
+                for (a, xrow) in wrow.iter().zip(x.chunks_exact(lanes)) {
+                    acc += f64::from(*a) * f64::from(xrow[b]);
+                }
+                out[row * lanes + b] = acc as f32;
+                row += 1;
             }
         }
     }
@@ -577,57 +568,76 @@ mod tests {
         assert_eq!(a.matmul(&b), mm_ref);
     }
 
-    /// `matmul_t` row `i` must equal `rhs.matvec(self.row(i))` bit for
-    /// bit — the contract batched inference relies on.
+    /// Lane `b` of a lane-major operand (column `b` of a `k × lanes`
+    /// row-major buffer).
+    fn lane(x: &[f32], lanes: usize, b: usize) -> Vec<f32> {
+        x.chunks_exact(lanes).map(|row| row[b]).collect()
+    }
+
+    /// Column `b` of `matmul_lanes` must equal `self.matvec(lane b)` bit
+    /// for bit — the contract batched inference relies on.
     #[test]
-    fn matmul_t_rows_match_matvec() {
+    fn matmul_lanes_columns_match_matvec() {
         use rand::SeedableRng;
         let mut rng = rand_chacha::ChaCha12Rng::seed_from_u64(11);
-        let mut xs = Matrix::zeros(7, 9);
-        xs.randomize(&mut rng, 3.0);
         let mut w = Matrix::zeros(5, 9);
         w.randomize(&mut rng, 3.0);
-        let prod = xs.matmul_t(&w);
-        assert_eq!(prod.rows(), 7);
-        assert_eq!(prod.cols(), 5);
-        for i in 0..xs.rows() {
-            assert_eq!(prod.row(i), w.matvec(xs.row(i)).as_slice());
+        let mut xs = Matrix::zeros(9, 19);
+        xs.randomize(&mut rng, 3.0);
+        let mut out = vec![0.0; 5 * 19];
+        w.matmul_lanes(xs.as_slice(), 19, &mut out);
+        for b in 0..19 {
+            assert_eq!(
+                lane(&out, 19, b),
+                w.matvec(&lane(xs.as_slice(), 19, b)),
+                "lane {b}"
+            );
         }
     }
 
-    /// The cache-blocked `matmul_t_into` must be bit-identical to the
-    /// unblocked reference at shapes that are smaller than, equal to,
-    /// and straddling the tile edge.
+    /// `matmul_lanes` must be bit-identical to the unblocked reference
+    /// (one `f64` dot per element, rounded once) at odd and even row
+    /// counts, at every lane count from one lane to past eight full
+    /// lane blocks, and on signed zeros and subnormals.
     #[test]
-    fn matmul_t_into_matches_unblocked_reference() {
-        use rand::SeedableRng;
+    fn matmul_lanes_matches_unblocked_reference() {
+        use rand::{Rng, SeedableRng};
         let mut rng = rand_chacha::ChaCha12Rng::seed_from_u64(23);
-        for &(m, n, k) in &[
-            (1, 1, 1),
-            (7, 5, 9),
-            (32, 32, 16),
-            (33, 47, 20),
-            (65, 31, 33),
-        ] {
-            let mut a = Matrix::zeros(m, k);
-            a.randomize(&mut rng, 3.0);
-            let mut b = Matrix::zeros(n, k);
-            b.randomize(&mut rng, 3.0);
-            // Unblocked reference: one f64 dot per element, rounded once.
-            let mut reference = Matrix::zeros(m, n);
-            for i in 0..m {
-                for j in 0..n {
-                    let mut acc = 0f64;
-                    for kk in 0..k {
-                        acc += f64::from(a[(i, kk)]) * f64::from(b[(j, kk)]);
-                    }
-                    reference[(i, j)] = acc as f32;
+        let specials = [0.0f32, -0.0, f32::MIN_POSITIVE / 4.0, -1e-40, 1e-45];
+        for &(n, k) in &[(1, 1), (4, 3), (7, 9), (16, 16), (33, 20), (64, 16)] {
+            for lanes in 1..=70 {
+                let mut w = Matrix::zeros(n, k);
+                w.randomize(&mut rng, 3.0);
+                let mut x = vec![0.0f32; k * lanes];
+                for v in &mut x {
+                    *v = if rng.gen_range(0..4) == 0 {
+                        specials[rng.gen_range(0..specials.len())]
+                    } else {
+                        rng.gen_range(-3.0..3.0)
+                    };
                 }
+                // Signed zeros and subnormals on the weight side too.
+                w[(0, 0)] = -0.0;
+                w[(n - 1, k - 1)] = 1e-44;
+                let mut reference = vec![0.0f32; n * lanes];
+                for i in 0..n {
+                    for b in 0..lanes {
+                        let mut acc = 0f64;
+                        for kk in 0..k {
+                            acc += f64::from(w[(i, kk)]) * f64::from(x[kk * lanes + b]);
+                        }
+                        reference[i * lanes + b] = acc as f32;
+                    }
+                }
+                let mut out = vec![f32::NAN; n * lanes]; // dirty: every slot is written
+                w.matmul_lanes(&x, lanes, &mut out);
+                let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(&out),
+                    bits(&reference),
+                    "shape ({n},{k}) × {lanes} lanes"
+                );
             }
-            assert_eq!(a.matmul_t(&b), reference, "shape ({m},{n},{k})");
-            let mut out = vec![1.0; 3]; // non-empty: exercises clear+resize
-            a.matmul_t_into(&b, &mut out);
-            assert_eq!(out, reference.as_slice(), "into, shape ({m},{n},{k})");
         }
     }
 
@@ -648,10 +658,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "matmul_t dimension mismatch")]
-    fn matmul_t_checks_dims() {
-        let a = Matrix::identity(2);
-        let b = Matrix::identity(3);
-        let _ = a.matmul_t(&b);
+    #[should_panic(expected = "matmul_lanes operand shape")]
+    fn matmul_lanes_checks_shapes() {
+        let mut out = vec![0.0; 4];
+        Matrix::identity(2).matmul_lanes(&[1.0, 2.0, 3.0], 2, &mut out);
     }
 }

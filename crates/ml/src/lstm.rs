@@ -134,11 +134,18 @@ pub struct Lstm {
     /// Recurrent weights, `4*hidden × hidden`.
     u: Matrix,
     /// Gate biases, `4*hidden`.
-    b: Vec<f32>,
+    b: Box<[f32]>,
     /// Output weights, `vocab × hidden`.
     w_out: Matrix,
     /// Output biases, `vocab`.
-    b_out: Vec<f32>,
+    b_out: Box<[f32]>,
+    /// Input projection per token, `vocab × 4*hidden`: row `t` is
+    /// `w · embedding[t]`, computed with [`Matrix::matvec`] so a batch
+    /// step can gather it instead of multiplying. Derived from `w` and
+    /// `embedding`; rebuilt whenever they change. Boxed, like the
+    /// fixed-length biases, so the model stays small enough to sit
+    /// unboxed in serving-model enums beside the ELM.
+    wx_table: Box<Matrix>,
     // --- inference state ---
     #[serde(skip)]
     state: CellState,
@@ -188,16 +195,18 @@ impl Lstm {
         }
         let mut w_out = Matrix::zeros(config.vocab, config.hidden);
         w_out.randomize(&mut rng, scale);
-        let b_out = vec![0.0; config.vocab];
+        let b_out = vec![0.0; config.vocab].into_boxed_slice();
+        let wx_table = project_embeddings(&w, &embedding);
 
         let mut lstm = Lstm {
             config: *config,
             embedding,
             w,
             u,
-            b,
+            b: b.into_boxed_slice(),
             w_out,
             b_out,
+            wx_table,
             state: CellState::default(),
         };
         lstm.reset();
@@ -260,6 +269,7 @@ impl Lstm {
                 pos = end;
             }
         }
+        lstm.wx_table = project_embeddings(&lstm.w, &lstm.embedding);
         lstm.reset();
         lstm
     }
@@ -297,6 +307,12 @@ impl Lstm {
     /// Output biases (`vocab`).
     pub fn b_out(&self) -> &[f32] {
         &self.b_out
+    }
+
+    /// The input projection table (`vocab × 4*hidden`): row `t` equals
+    /// `w().matvec(embedding().row(t))` bit for bit.
+    pub(crate) fn wx_table(&self) -> &Matrix {
+        &self.wx_table
     }
 
     /// Current hidden state (for device-equivalence tests).
@@ -476,6 +492,15 @@ impl Lstm {
     }
 }
 
+/// The per-token input projection table: row `t` is
+/// `w.matvec(embedding.row(t))`, the `W·x` term of a step on token `t`.
+fn project_embeddings(w: &Matrix, embedding: &Matrix) -> Box<Matrix> {
+    let data = (0..embedding.rows())
+        .flat_map(|t| w.matvec(embedding.row(t)))
+        .collect();
+    Box::new(Matrix::from_vec(embedding.rows(), w.rows(), data))
+}
+
 /// Mutable flat view of a matrix's storage (training-internal).
 fn flat_mut(m: &mut Matrix) -> &mut [f32] {
     // Matrix doesn't expose mutable flat access publicly; reconstruct
@@ -519,24 +544,21 @@ fn softmax(logits: &[f32]) -> Vec<f32> {
 /// Device-matching softmax: clip to ±[`LOGIT_CLIP`], exponentiate
 /// without max-shifting (safe after the clip), normalize.
 pub(crate) fn softmax_clipped(logits: &[f32]) -> Vec<f32> {
-    let mut out = Vec::with_capacity(logits.len());
-    softmax_clipped_into(logits, &mut out);
+    let mut out = logits.to_vec();
+    softmax_clipped_in_place(&mut out);
     out
 }
 
-/// [`softmax_clipped`] into a caller-owned buffer (cleared first).
-/// Same operations in the same order, so results are bit-identical;
-/// reusing `out` keeps steady-state batch inference off the heap.
-pub(crate) fn softmax_clipped_into(logits: &[f32], out: &mut Vec<f32>) {
-    out.clear();
-    out.reserve(logits.len());
-    out.extend(
-        logits
-            .iter()
-            .map(|&v| v.clamp(-LOGIT_CLIP, LOGIT_CLIP).exp()),
-    );
-    let s: f32 = out.iter().sum();
-    for e in out.iter_mut() {
+/// [`softmax_clipped`] over a buffer that holds the logits and
+/// receives the probabilities. Same operations in the same order, so
+/// results are bit-identical; batch inference writes a lane's logits
+/// straight into its prediction and normalizes them here.
+pub(crate) fn softmax_clipped_in_place(v: &mut [f32]) {
+    for e in v.iter_mut() {
+        *e = e.clamp(-LOGIT_CLIP, LOGIT_CLIP).exp();
+    }
+    let s: f32 = v.iter().sum();
+    for e in v.iter_mut() {
         *e /= s;
     }
 }
@@ -634,6 +656,34 @@ mod tests {
     #[should_panic(expected = "at least 2 tokens")]
     fn short_corpus_panics() {
         Lstm::train(&LstmConfig::tiny(4), &[0], 0);
+    }
+
+    /// Every row of the input projection table equals the scalar
+    /// step's `W·x` for that token, bit for bit, after `init`, after
+    /// `train` (which moves `w` and the embedding), and on a clone.
+    #[test]
+    fn wx_table_rows_match_matvec() {
+        let check = |lstm: &Lstm| {
+            let table = lstm.wx_table();
+            assert_eq!(table.rows(), lstm.config().vocab);
+            assert_eq!(table.cols(), 4 * lstm.config().hidden);
+            for t in 0..lstm.config().vocab {
+                let wx = lstm.w().matvec(lstm.embedding().row(t));
+                let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(table.row(t)), bits(&wx), "token {t}");
+            }
+        };
+        let cfg = LstmConfig::rtad();
+        let init = Lstm::init(&cfg, 5);
+        check(&init);
+        let trained = Lstm::train(&cfg, &cyclic_corpus(64, 300), 5);
+        assert_ne!(
+            trained.w(),
+            init.w(),
+            "training must move the input weights"
+        );
+        check(&trained);
+        check(&trained.clone());
     }
 
     #[test]

@@ -4,6 +4,9 @@
 //! lengths (streams ending mid-batch).
 
 use proptest::prelude::*;
+use rand::seq::SliceRandom;
+use rand::SeedableRng;
+use rand_chacha::ChaCha12Rng;
 
 use rtad_ml::{BatchArena, Elm, ElmConfig, Lstm, LstmConfig, LstmLane, SequenceModel, VectorModel};
 
@@ -147,21 +150,27 @@ proptest! {
 
     /// The indexed arena LSTM step over ragged streams, reusing one
     /// arena and score buffer throughout, matches the scalar per-stream
-    /// replay bit for bit.
+    /// replay bit for bit. Tokens span the whole vocabulary; up to 70
+    /// streams make batches of full 8-lane blocks plus a remainder; the
+    /// deployed `LstmConfig::rtad()` shape runs beside the tiny one; and
+    /// batch slots map to lanes in shuffled order.
     #[test]
     fn lstm_arena_reuse_is_bit_identical(
         seed in any::<u64>(),
         vocab in 3usize..10,
+        rtad_shape in any::<bool>(),
         streams in proptest::collection::vec(
-            proptest::collection::vec(0u32..3, 0..24),
-            1..9,
+            proptest::collection::vec(any::<u32>(), 0..24),
+            1..71,
         ),
     ) {
+        let cfg = if rtad_shape { LstmConfig::rtad() } else { LstmConfig::tiny(vocab) };
         let streams: Vec<Vec<u32>> = streams
             .into_iter()
-            .map(|s| s.into_iter().map(|t| t % vocab as u32).collect())
+            .map(|s| s.into_iter().map(|t| t % cfg.vocab as u32).collect())
             .collect();
-        let lstm = Lstm::init(&LstmConfig::tiny(vocab), seed);
+        let lstm = Lstm::init(&cfg, seed);
+        let mut order = ChaCha12Rng::seed_from_u64(seed);
 
         let mut lanes: Vec<LstmLane> = streams.iter().map(|_| lstm.lane()).collect();
         let mut arena = BatchArena::new();
@@ -169,24 +178,21 @@ proptest! {
         let mut batched: Vec<Vec<f64>> = streams.iter().map(|_| Vec::new()).collect();
         let max_len = streams.iter().map(Vec::len).max().unwrap_or(0);
         for step in 0..max_len {
-            let mut idx = Vec::new();
-            let mut tokens = Vec::new();
-            for (i, s) in streams.iter().enumerate() {
-                if step < s.len() {
-                    idx.push(i);
-                    tokens.push(s[step]);
-                }
-            }
+            let mut idx: Vec<usize> = (0..streams.len())
+                .filter(|&i| step < streams[i].len())
+                .collect();
             if idx.is_empty() {
                 continue;
             }
+            idx.shuffle(&mut order);
+            let tokens: Vec<u32> = idx.iter().map(|&i| streams[i][step]).collect();
             lstm.score_next_batch_arena(&mut lanes, &idx, &tokens, &mut arena, &mut scores);
             for (&i, &s) in idx.iter().zip(&scores) {
                 batched[i].push(s);
             }
         }
 
-        for (stream, scores) in streams.iter().zip(&batched) {
+        for ((stream, scores), lane) in streams.iter().zip(&batched).zip(&lanes) {
             prop_assert_eq!(stream.len(), scores.len());
             let mut scalar = lstm.clone();
             scalar.reset();
@@ -194,6 +200,11 @@ proptest! {
                 let s = scalar.score_next(t);
                 prop_assert_eq!(s.to_bits(), b.to_bits(), "scalar {} arena {}", s, b);
             }
+            let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(lane.prediction()), bits(scalar.prediction()));
+            let ((h, c), (sh, sc)) = (lane.state(), scalar.hidden_state());
+            prop_assert_eq!(bits(h), bits(sh));
+            prop_assert_eq!(bits(c), bits(sc));
         }
     }
 

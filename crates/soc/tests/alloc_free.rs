@@ -90,6 +90,10 @@ fn sparse_feed_lossless(p: &mut SparsePipeline, stream: usize, bytes: &[u8]) {
 /// attempts and still fails; the minimum only filters one-off
 /// allocations from harness/runtime threads, which the process-global
 /// counting gate would otherwise attribute to the hot path.
+/// Batch sizes scored after warm-up: the warm shape, a partial 8-lane
+/// block, a lone window, and back to the warm shape.
+const RAGGED: [usize; 4] = [32, 7, 1, 32];
+
 fn settled_allocations(mut pass: impl FnMut()) -> u64 {
     (0..3).map(|_| allocations(&mut pass)).min().unwrap_or(0)
 }
@@ -149,29 +153,35 @@ fn hot_paths_are_allocation_free_in_steady_state() {
         .collect();
     let mut arena = BatchArena::new();
     let mut scores = Vec::new();
-    let score_all = |arena: &mut BatchArena, scores: &mut Vec<f64>| {
+    let score_rows = |arena: &mut BatchArena, scores: &mut Vec<f64>, b: usize| {
         arena.begin(dim);
-        for r in &rows {
+        for r in &rows[..b] {
             arena.push_row(r);
         }
         elm.score_batch_arena(arena, scores);
     };
-    score_all(&mut arena, &mut scores); // warm-up
+    score_rows(&mut arena, &mut scores, RAGGED[0]); // warm-up at the largest shape
+                                                    // Serving planes form batches of mixed size: after the warm-up,
+                                                    // smaller batches (down to a single window, all remainder lanes)
+                                                    // and a return to the full shape must reuse the warm buffers.
+    let mut lens = [0usize; RAGGED.len()];
     let n = settled_allocations(|| {
-        for _ in 0..5 {
-            score_all(&mut arena, &mut scores);
+        for (len, &b) in lens.iter_mut().zip(&RAGGED) {
+            score_rows(&mut arena, &mut scores, b);
+            *len = scores.len();
         }
     });
-    assert_eq!(scores.len(), 64);
-    assert_eq!(n, 0, "steady-state ELM batch made {n} allocations");
+    assert_eq!(lens, RAGGED);
+    assert_eq!(n, 0, "steady-state ELM batches made {n} allocations");
 
-    // --- Lockstep LSTM stepping out of a warm arena and lane pool.
+    // --- Lockstep LSTM stepping out of a warm arena and lane pool, over
+    // the same ragged batch sizes (each batch a prefix of the pool).
     let vocab = 8usize;
     let corpus: Vec<u32> = (0..300).map(|i| (i % vocab) as u32).collect();
     let lstm = Lstm::train(&LstmConfig::tiny(vocab), &corpus, 5);
-    let mut lanes: Vec<LstmLane> = (0..32).map(|_| lstm.lane()).collect();
-    let idx: Vec<usize> = (0..32).collect();
-    let mut tokens = vec![0u32; 32];
+    let mut lanes: Vec<LstmLane> = (0..RAGGED[0]).map(|_| lstm.lane()).collect();
+    let idx: Vec<usize> = (0..RAGGED[0]).collect();
+    let mut tokens = vec![0u32; RAGGED[0]];
     let mut arena = BatchArena::new();
     let mut scores = Vec::new();
     for step in 0..3u32 {
@@ -179,14 +189,23 @@ fn hot_paths_are_allocation_free_in_steady_state() {
         tokens.iter_mut().for_each(|t| *t = step % vocab as u32);
         lstm.score_next_batch_arena(&mut lanes, &idx, &tokens, &mut arena, &mut scores);
     }
+    let mut step = 3u32;
     let n = settled_allocations(|| {
-        for step in 3..8u32 {
+        for (len, &b) in lens.iter_mut().zip(&RAGGED) {
             tokens.iter_mut().for_each(|t| *t = step % vocab as u32);
-            lstm.score_next_batch_arena(&mut lanes, &idx, &tokens, &mut arena, &mut scores);
+            step += 1;
+            lstm.score_next_batch_arena(
+                &mut lanes,
+                &idx[..b],
+                &tokens[..b],
+                &mut arena,
+                &mut scores,
+            );
+            *len = scores.len();
         }
     });
-    assert_eq!(scores.len(), 32);
-    assert_eq!(n, 0, "steady-state LSTM batch made {n} allocations");
+    assert_eq!(lens, RAGGED);
+    assert_eq!(n, 0, "steady-state LSTM batches made {n} allocations");
 
     // --- Sparse-readiness ingest (PR 9): once streams are registered,
     // the whole sparse hot path — ring push/drain, readiness
