@@ -18,7 +18,7 @@ fn watch_targets() -> Vec<VirtAddr> {
 
 /// Serving-shaped traffic: every 16th branch hits the watchlist, the
 /// rest miss, so decode (not inference) dominates — the same shape as
-/// the serve report's streams.
+/// `perfbench`'s serving streams.
 fn trace_bytes(branches: usize) -> Vec<u8> {
     let targets = watch_targets();
     let run: Vec<BranchRecord> = (0..branches)

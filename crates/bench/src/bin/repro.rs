@@ -6,7 +6,6 @@
 //! cargo run --release -p rtad-bench --bin repro -- fig8          # 3-benchmark subset
 //! cargo run --release -p rtad-bench --bin repro -- fig8-full     # all twelve
 //! cargo run --release -p rtad-bench --bin repro -- fig8-full --serial
-//! cargo run --release -p rtad-bench --bin repro -- serve         # BENCH_pr10.json
 //! ```
 //!
 //! Sweeps run on the batched sweep runner (one worker per core) by
@@ -14,21 +13,13 @@
 //! way the tables and figures are byte-identical — only host wall-clock
 //! changes. `fig8-full` additionally writes `BENCH_pr2.json` (host
 //! perf telemetry; schema in EXPERIMENTS.md) to the working directory.
-//!
-//! This binary installs the counting global allocator so the `serve`
-//! report carries real steady-state allocation counts (the hot-path
-//! zero-allocation contract); counting is gated and adds one relaxed
-//! atomic load per allocation, negligible against the measured paths.
+//! Serving performance is measured by the `perfbench` package at the
+//! repository root.
 
 use std::time::Instant;
 
-use rtad_alloc_counter::CountingAlloc;
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
-
 use rtad_bench::{
-    measure_engine_speedup, BenchReport, Fig6, Fig7, Fig8, ServeReport, Table1, Table2, REPRO_SEED,
+    measure_engine_speedup, BenchReport, Fig6, Fig7, Fig8, Table1, Table2, REPRO_SEED,
 };
 use rtad_soc::sweep_threads;
 use rtad_workloads::Benchmark;
@@ -96,27 +87,6 @@ fn main() {
             Err(e) => eprintln!("could not write {}: {e}", path.display()),
         }
     }
-    if wanted.contains(&"serve") {
-        // Explicit-only (like fig8-full): the multi-stream serving
-        // throughput report — dense cells, the sparse-readiness sweep
-        // at 1k/10k/100k registered streams, and the sharded-serving
-        // sweep at 1k/10k streams across W ∈ {auto, 1, 2, 4} workers.
-        // Writes BENCH_pr10.json.
-        let report = ServeReport::measure(
-            REPRO_SEED,
-            4_096,
-            &[1, 8, 64],
-            8,
-            &[1_000, 10_000, 100_000],
-            &[1_000, 10_000],
-        );
-        print!("{}", report.summary());
-        let path = std::path::Path::new("BENCH_pr10.json");
-        match report.write_to(path) {
-            Ok(()) => eprintln!("wrote {}", path.display()),
-            Err(e) => eprintln!("could not write {}: {e}", path.display()),
-        }
-    }
     if wanted.iter().all(|w| {
         ![
             "all",
@@ -126,13 +96,12 @@ fn main() {
             "fig7",
             "fig8",
             "fig8-full",
-            "serve",
         ]
         .contains(w)
     }) {
         eprintln!(
             "unknown target(s) {wanted:?}; expected any of: \
-             table1 table2 fig6 fig7 fig8 fig8-full serve all [--serial]"
+             table1 table2 fig6 fig7 fig8 fig8-full all [--serial]"
         );
         std::process::exit(2);
     }

@@ -8,13 +8,8 @@
 use std::fmt;
 
 pub mod perf;
-pub mod serve;
 
 pub use perf::{measure_engine_speedup, BenchReport, EngineComparison, StageTiming};
-pub use serve::{
-    AllocTelemetry, InferenceMicro, ServeReport, ShardScalingCell, SparseServeCell, StageBreakdown,
-    ThroughputCell,
-};
 
 use rtad::miaow::area::{variant_area, EngineVariant};
 use rtad::sim::Zc706;

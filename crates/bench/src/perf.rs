@@ -440,5 +440,24 @@ mod tests {
         assert!(cmp.auto_wall_ms > 0.0);
     }
 
+    /// The engine-dispatch regression gate: the auto dispatcher
+    /// amortizes per-launch setup across the batch, so over a 64-stream
+    /// batch it must actually *win* against the per-window serial loop
+    /// — and its dispatch policy must never re-engage the
+    /// CU-partitioned path where that path loses.
+    #[test]
+    fn auto_engine_mode_is_not_slower_than_serial() {
+        let _cpu = crate::host_cpu::exclusive();
+        let cmp = measure_engine_speedup(33, 4);
+        assert!(cmp.cycles_match());
+        assert!(
+            cmp.speedup() >= 1.0,
+            "auto batched dispatch lost to serial: {:.3}x (serial {:.2} ms, auto {:.2} ms)",
+            cmp.speedup(),
+            cmp.serial_wall_ms,
+            cmp.auto_wall_ms
+        );
+    }
+
     const REPRO_TEST_SEED: u64 = 11;
 }

@@ -69,8 +69,9 @@ pub struct KernelAttestation {
 /// microseconds per launch (25–180 µs measured on the bench host),
 /// while a single batched job runs in single-digit microseconds; a
 /// batch must carry enough work per worker to buy that back. The
-/// crossover measured on the bench host (`rtad-bench`'s
-/// `engine_scaling` sweep and BENCH_pr5.json; method in DESIGN.md §13)
+/// crossover measured on the bench host (the `engine_scaling` sweep,
+/// recorded in EXPERIMENTS.md's serving trend table; method in
+/// DESIGN.md §13)
 /// shows forced CU partitioning *losing* to the in-thread serial loop
 /// everywhere below ≈2×10⁵ work units per launch and only reaching
 /// break-even around 2–2.5×10⁵ (1024-stream LSTM batches). The default
@@ -94,8 +95,8 @@ pub const DEFAULT_PARALLEL_MIN_WORK: u64 = 400_000;
 pub fn parallel_min_work_for_threads(threads: usize) -> u64 {
     match threads {
         // Single-core (and the degenerate 0 report): the measured
-        // BENCH_pr5 value; the host_threads gate keeps the partitioned
-        // path off anyway.
+        // single-core value (EXPERIMENTS.md, serving trend table); the
+        // host_threads gate keeps the partitioned path off anyway.
         0 | 1 => DEFAULT_PARALLEL_MIN_WORK,
         // Few cores: spawn cost is recovered slower; stay well above
         // break-even.

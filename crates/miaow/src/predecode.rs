@@ -996,7 +996,7 @@ impl PredecodedKernel {
 }
 
 /// Per-kernel hit/miss telemetry of one [`PredecodeCache`] entry, keyed
-/// by name + fingerprint so the serve report can show *which* kernel
+/// by name + fingerprint so a report can show *which* kernel
 /// misses (and which carry tier-3 schedules) rather than one global
 /// hit-rate.
 #[derive(Debug, Clone, PartialEq, Eq)]

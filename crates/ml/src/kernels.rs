@@ -214,8 +214,9 @@ const LSTM_LAUNCH_ARGS: usize = 10;
 /// through the fused per-event path instead of lockstep kernel batches:
 /// per-launch batching overhead (job vectors, partition bookkeeping)
 /// dominates under the engine's parallel-dispatch crossover, which is
-/// where BENCH_pr5 measured `auto_speedup < 1` at N ∈ {1, 8}. Results
-/// are bit-identical either way; only host throughput differs.
+/// where the `engine_scaling` sweep measured `auto_speedup < 1` at
+/// N ∈ {1, 8} (EXPERIMENTS.md, serving trend table). Results are
+/// bit-identical either way; only host throughput differs.
 const SMALL_BATCH_STREAMS: usize = 16;
 
 impl ElmDevice {

@@ -413,14 +413,14 @@ impl DetectionRun {
         self.cycles_per_event
     }
 
-    /// Exports this prepared experiment as a streaming-pipeline spec:
+    /// Exports this prepared experiment as a serving-plane spec:
     /// the same IGM table/format, the same trained model, the same
     /// calibrated thresholds and smoothing, and the same measured
     /// per-event cycles. The timed burst window does not transfer to
     /// the untimed streaming path, so the caller chooses the
     /// event-count window (`burst_window_events`) that replaces it.
-    pub fn serve_spec(&self, burst_window_events: u64) -> crate::pipeline::ServeSpec {
-        use crate::pipeline::{ServeModel, ServeSpec, VerdictPolicy};
+    pub fn serve_spec(&self, burst_window_events: u64) -> crate::serve::ServeSpec {
+        use crate::serve::{ServeModel, ServeSpec, VerdictPolicy};
         ServeSpec {
             igm: self.igm_config.clone(),
             model: match &self.scorer {

@@ -19,21 +19,20 @@
 //! * [`backend`] — [`rtad_mcm::InferenceEngine`] implementations: the
 //!   full device path and the calibrated hybrid (host-functional,
 //!   device-timed) used for long experiment sweeps.
-//! * [`pipeline`] — the multi-stream streaming detection server:
-//!   N concurrent victim trace streams through bounded-queue stages
-//!   (per-stream IGM decode/encode → cross-stream batched ELM/LSTM
-//!   inference → per-stream verdicts), bit-identical to the per-window
-//!   serial path.
-//! * [`sparse`] — the sparse-readiness ingest layer over [`pipeline`]:
-//!   per-stream bounded rings feeding an epoll-style readiness queue so
-//!   a 100k-stream, mostly-idle population costs CPU proportional to
-//!   *ready* streams and a measured, compact number of resident bytes
-//!   per idle stream.
-//! * [`shard`] — sharded sparse scheduling across cores: the [`sparse`]
-//!   plane partitioned over `W` worker shards (own `ReadyQueue`,
-//!   rings, sessions — lock-free, cache-local), feeding the shared
-//!   batch former through bounded SPSC completion rings, bit-identical
-//!   to the serial reference for any `W` and allocation-free in steady
+//! * [`serve`] — the serving plane's shared core: [`ServeSpec`] (the
+//!   deployed model, IGM table and verdict policy), the per-stream
+//!   [`VerdictState`], the [`serial_reference`] oracle, and the one
+//!   batch former (cross-stream batched ELM/LSTM scoring plus
+//!   verdicts) that both planes below own.
+//! * [`sparse`] — the inline serving plane: per-stream bounded rings
+//!   feeding an epoll-style readiness queue so a 100k-stream,
+//!   mostly-idle population costs CPU proportional to *ready* streams
+//!   and a measured, compact number of resident bytes per idle stream.
+//! * [`shard`] — the same plane partitioned over `W` worker shards
+//!   (own `ReadyQueue`, rings, sessions — lock-free, cache-local),
+//!   feeding the batch former through bounded SPSC completion rings.
+//!   `W = 1` is the inline [`sparse`] plane. Both are bit-identical to
+//!   the serial reference for any `W` and allocation-free in steady
 //!   state.
 //! * [`sweep`] — the batched sweep runner: order-preserving parallel
 //!   execution of independent experiment cells (figure output stays
@@ -60,7 +59,7 @@ pub mod area;
 pub mod backend;
 pub mod detection;
 pub mod overhead;
-pub mod pipeline;
+pub mod serve;
 pub mod shard;
 pub mod sparse;
 pub mod sweep;
@@ -77,17 +76,16 @@ pub use detection::{
     DetectionConfig, DetectionOutcome, DetectionRun, ModelKind, PreparedDetection,
 };
 pub use overhead::{OverheadModel, OverheadRow, TraceMechanism};
-pub use pipeline::{
-    encode_streams, run_pipeline, serial_reference, PipelineConfig, PipelineRun, PipelineStats,
-    ServeModel, ServeSpec, StreamOutcome, VerdictPolicy, VerdictState,
+pub use serve::{
+    encode_streams, fold_score_hash, score_hash, serial_reference, ServeModel, ServeSpec,
+    SparseOutcome, StreamOutcome, VerdictPolicy, VerdictState, SCORE_HASH_SEED,
 };
 pub use shard::{
     auto_workers, ShardConfig, ShardFeeder, ShardStats, ShardedSparsePipeline, SpscByteRing,
     SpscRing, MAX_AUTO_WORKERS,
 };
 pub use sparse::{
-    fold_score_hash, score_hash, ByteRing, MemoryFootprint, ReadyQueue, RoundStats, SparseConfig,
-    SparseOutcome, SparsePipeline, SparseStats, SCORE_HASH_SEED,
+    ByteRing, MemoryFootprint, ReadyQueue, RoundStats, SparseConfig, SparsePipeline, SparseStats,
 };
 pub use sweep::{parallel_map, sweep_threads};
 pub use transfer::{

@@ -36,8 +36,10 @@
 //!   (shard-round-robin), so batch composition is a deterministic
 //!   function of arrival order — and because the batch kernels are
 //!   batch-size-invariant and verdict state is per-stream, outcomes
-//!   are **bit-identical to [`serial_reference`] for any interleaving
-//!   and any `W`** (property-tested over random shard counts).
+//!   are **bit-identical to
+//!   [`serial_reference`](crate::serial_reference) for any
+//!   interleaving and any `W`** (property-tested over random shard
+//!   counts).
 //!
 //! **Wakeup protocol (no lost doorbells).** Each stream carries a
 //! `scheduled` flag. After a successful publish the feeder does
@@ -65,9 +67,9 @@
 //! so ring storage is `AtomicU8` slots rather than a borrowable slice.
 //! Dense-buffer recycling across threads is an allocation
 //! optimization, not a correctness dependency (a full return ring
-//! drops the buffer, mirroring the dense pipeline's `RETURN_DEPTH`
-//! stance); the allocation-free gates therefore pin the token-stream
-//! (LSTM) front end, whose windows carry no heap payload.
+//! drops the buffer and the session re-allocates lazily); the
+//! allocation-free gates therefore pin the token-stream (LSTM) front
+//! end, whose windows carry no heap payload.
 //!
 //! `W = 1` (and the `available_parallelism() == 1` auto case) needs no
 //! transport at all: it delegates to the inline [`SparsePipeline`],
@@ -82,14 +84,8 @@ use std::thread;
 
 use rtad_igm::{IgmSession, IgmShared, StreamedVector, VectorPayload};
 
-use crate::pipeline::{take_batch, InferCtx, ServeSpec, VerdictState};
-use crate::sparse::{
-    fold_score_hash, ReadyQueue, SparseConfig, SparseOutcome, SparsePipeline, SparseStats,
-};
-
-/// Ingest sub-quantum for dense-window streams, matching the sparse
-/// pipeline's bound on un-recycled buffers in flight per sub-bite.
-const DENSE_SUBQUANTUM: usize = 64;
+use crate::serve::{BatchFormer, ServeSpec, SparseOutcome};
+use crate::sparse::{ReadyQueue, SparseConfig, SparsePipeline, SparseStats, DENSE_SUBQUANTUM};
 
 /// Hard cap on auto-detected worker shards: beyond this, per-shard
 /// populations get small enough that doorbell/completion traffic
@@ -549,35 +545,20 @@ impl ShardCore {
     }
 }
 
-/// The consumer's batch-former + verdict state: the same
-/// [`take_batch`] / [`InferCtx`] / [`VerdictState`] machinery as the
-/// inline sparse pipeline, so bit-identity transfers.
-struct ConsumerSink {
-    ctx: InferCtx,
-    verdicts: Vec<VerdictState>,
-    outcomes: Vec<SparseOutcome>,
-    queue: VecDeque<(usize, VectorPayload)>,
-    batch: Vec<(usize, VectorPayload)>,
-    in_batch: Vec<bool>,
-    pending: Vec<usize>,
-    windows: u64,
-    batches: u64,
-    max_batch_seen: usize,
-}
-
-/// The threaded state behind a `W > 1` pipeline.
+/// The threaded state behind a `W > 1` pipeline. The consumer thread
+/// owns `former` — the same batch former the inline sparse pipeline
+/// owns, so bit-identity transfers.
 struct Sharded {
     shared: IgmShared,
     plane: FeedPlane,
     cores: Vec<ShardCore>,
-    sink: ConsumerSink,
+    former: BatchFormer,
 }
 
 /// The sharded sparse serving pipeline: `W` lock-free shard schedulers
 /// feeding one batch former over bounded SPSC rings, bit-identical to
 /// the serial reference for any `W`. See the module docs.
 pub struct ShardedSparsePipeline {
-    spec: ServeSpec,
     config: ShardConfig,
     workers: usize,
     /// `W == 1`: the inline data plane, no threads or transport.
@@ -671,37 +652,21 @@ impl ShardedSparsePipeline {
         };
         if workers <= 1 {
             ShardedSparsePipeline {
-                inline: Some(SparsePipeline::new(spec.clone(), config.sparse)),
+                inline: Some(SparsePipeline::new(spec, config.sparse)),
                 sharded: None,
-                spec,
                 config,
                 workers: 1,
             }
         } else {
-            let shared = IgmShared::new(&spec.igm);
-            let ctx = InferCtx::new(&spec, 0);
-            let max_batch = config.sparse.max_batch.max(1);
             let sharded = Sharded {
-                shared,
+                shared: IgmShared::new(&spec.igm),
                 plane: FeedPlane::new(workers),
                 cores: (0..workers).map(|k| ShardCore::new(k, &config)).collect(),
-                sink: ConsumerSink {
-                    ctx,
-                    verdicts: Vec::new(),
-                    outcomes: Vec::new(),
-                    queue: VecDeque::new(),
-                    batch: Vec::with_capacity(max_batch),
-                    in_batch: Vec::new(),
-                    pending: Vec::new(),
-                    windows: 0,
-                    batches: 0,
-                    max_batch_seen: 0,
-                },
+                former: BatchFormer::new(spec, config.sparse.max_batch),
             };
             ShardedSparsePipeline {
                 inline: None,
                 sharded: Some(sharded),
-                spec,
                 config,
                 workers,
             }
@@ -743,11 +708,7 @@ impl ShardedSparsePipeline {
         core.flushed.push(false);
         core.ready.register();
         core.stats.streams += 1;
-        sh.sink.verdicts.push(VerdictState::new());
-        sh.sink.outcomes.push(SparseOutcome::default());
-        sh.sink.in_batch.push(false);
-        sh.sink.pending.push(0);
-        sh.sink.ctx.add_stream(&self.spec);
+        sh.former.register();
         global
     }
 
@@ -781,22 +742,20 @@ impl ShardedSparsePipeline {
             shared,
             plane,
             cores,
-            sink,
+            former,
         } = sh;
         plane.feeder_done.store(false, Ordering::SeqCst);
         plane.workers_done.store(0, Ordering::SeqCst);
         plane.consumer_dead.store(false, Ordering::SeqCst);
-        let lockstep = sink.ctx.lockstep;
+        let lockstep = former.lockstep();
         let drain_bytes = self.config.sparse.drain_bytes.max(1);
-        let max_batch = self.config.sparse.max_batch.max(1);
-        let spec = &self.spec;
         let plane = &*plane;
         let shared = &*shared;
         thread::scope(|s| {
             for core in cores.iter_mut() {
                 s.spawn(move || worker_loop(core, plane, shared, lockstep, drain_bytes));
             }
-            s.spawn(move || consumer_loop(sink, plane, spec, max_batch));
+            s.spawn(move || consumer_loop(former, plane));
             let _done = SetOnDrop(&plane.feeder_done);
             let feeder = ShardFeeder {
                 imp: FeederImp::Sharded(plane),
@@ -810,7 +769,7 @@ impl ShardedSparsePipeline {
     pub fn outcome(&self, stream: usize) -> &SparseOutcome {
         match (&self.inline, &self.sharded) {
             (Some(p), _) => p.outcome(stream),
-            (_, Some(sh)) => &sh.sink.outcomes[stream],
+            (_, Some(sh)) => sh.former.outcome(stream),
             _ => unreachable!("one mode is always live"),
         }
     }
@@ -819,7 +778,7 @@ impl ShardedSparsePipeline {
     pub fn outcomes(&self) -> &[SparseOutcome] {
         match (&self.inline, &self.sharded) {
             (Some(p), _) => p.outcomes(),
-            (_, Some(sh)) => &sh.sink.outcomes,
+            (_, Some(sh)) => sh.former.outcomes(),
             _ => unreachable!("one mode is always live"),
         }
     }
@@ -848,11 +807,12 @@ impl ShardedSparsePipeline {
         match (&self.inline, &self.sharded) {
             (Some(p), _) => p.stats(),
             (_, Some(sh)) => {
+                let (windows, batches, max_batch_seen) = sh.former.tally();
                 let mut stats = SparseStats {
                     registered: sh.plane.rings.len(),
-                    windows: sh.sink.windows,
-                    batches: sh.sink.batches,
-                    max_batch_seen: sh.sink.max_batch_seen,
+                    windows,
+                    batches,
+                    max_batch_seen,
                     fed_bytes: sh.plane.fed_bytes.load(Ordering::SeqCst),
                     dropped_bytes: sh.plane.dropped_total.load(Ordering::SeqCst),
                     ..SparseStats::default()
@@ -928,10 +888,7 @@ impl Sharded {
             .map(SpscRing::capacity)
             .sum::<usize>()
             + max_batch;
-        if self.sink.queue.capacity() < sweep {
-            let grow = sweep - self.sink.queue.len();
-            self.sink.queue.reserve(grow);
-        }
+        self.former.reserve(sweep);
     }
 }
 
@@ -1116,11 +1073,10 @@ fn worker_loop(
 }
 
 /// The batch-former consumer: drains completion rings in shard index
-/// order (deterministic round-robin), forms cross-stream batches with
-/// the shared [`take_batch`], scores them through the shared
-/// [`InferCtx`] kernels, applies per-stream verdicts and recycles
-/// dense buffers to their owning shard.
-fn consumer_loop(sink: &mut ConsumerSink, plane: &FeedPlane, spec: &ServeSpec, max_batch: usize) {
+/// order (deterministic round-robin) into the [`BatchFormer`], scores
+/// everything gathered, publishes `windows_scored` per batch and
+/// recycles dense buffers to their owning shard.
+fn consumer_loop(former: &mut BatchFormer, plane: &FeedPlane) {
     let workers = plane.workers;
     let _dead = SetOnDrop(&plane.consumer_dead);
     loop {
@@ -1136,52 +1092,27 @@ fn consumer_loop(sink: &mut ConsumerSink, plane: &FeedPlane, spec: &ServeSpec, m
                 let Some((stream, payload)) = plane.completions[shard].pop() else {
                     break;
                 };
-                sink.pending[stream as usize] += 1;
-                sink.queue.push_back((stream as usize, payload));
+                former.push(stream as usize, payload);
                 progress = true;
             }
         }
         // One sweep = one scheduling round: flush everything gathered
         // (exactly the inline pipeline's round policy).
-        while !sink.queue.is_empty() {
-            take_batch(
-                &mut sink.queue,
-                &mut sink.pending,
-                max_batch,
-                sink.ctx.lockstep,
-                &mut sink.in_batch,
-                &mut sink.batch,
-            );
-            sink.ctx.score(spec, &sink.batch);
-            sink.batches += 1;
-            sink.max_batch_seen = sink.max_batch_seen.max(sink.batch.len());
-            for ((stream, _), &score) in sink.batch.iter().zip(&sink.ctx.scores) {
-                let out = &mut sink.outcomes[*stream];
-                let seq = out.windows;
-                let (smoothed, flagged) = sink.verdicts[*stream].observe(&spec.policy, seq, score);
-                out.windows += 1;
-                out.device_cycles += spec.cycles_per_event;
-                out.last_score = smoothed;
-                out.score_hash = fold_score_hash(out.score_hash, smoothed);
-                if flagged {
-                    out.flags += 1;
-                    out.last_flag = Some(seq);
-                }
-                sink.windows += 1;
+        loop {
+            let scored = former.score_next(|stream, buf| {
+                // Full return ring = drop the buffer; the owning
+                // session re-allocates lazily (optimization only).
+                let _ = plane.returns[stream % workers].push((stream as u32, buf));
+            });
+            if scored == 0 {
+                break;
             }
             plane
                 .windows_scored
-                .fetch_add(sink.batch.len() as u64, Ordering::SeqCst);
-            for (stream, payload) in sink.batch.drain(..) {
-                if let VectorPayload::Dense(buf) = payload {
-                    // Full return ring = drop the buffer; the owning
-                    // session re-allocates lazily (optimization only).
-                    let _ = plane.returns[stream % workers].push((stream as u32, buf));
-                }
-            }
+                .fetch_add(scored as u64, Ordering::SeqCst);
             progress = true;
         }
-        if workers_done && sink.queue.is_empty() && plane.completions.iter().all(SpscRing::is_empty)
+        if workers_done && former.queued() == 0 && plane.completions.iter().all(SpscRing::is_empty)
         {
             return;
         }
@@ -1194,8 +1125,7 @@ fn consumer_loop(sink: &mut ConsumerSink, plane: &FeedPlane, spec: &ServeSpec, m
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::{encode_streams, serial_reference, ServeModel, VerdictPolicy};
-    use crate::sparse::score_hash;
+    use crate::serve::{encode_streams, serial_reference, ServeModel, VerdictPolicy};
     use rtad_igm::IgmConfig;
     use rtad_ml::{Elm, ElmConfig, Lstm, LstmConfig};
     use rtad_trace::{BranchKind, BranchRecord, VirtAddr};
@@ -1285,18 +1215,12 @@ mod tests {
     }
 
     fn assert_matches_reference(spec: &ServeSpec, p: &ShardedSparsePipeline, streams: &[Vec<u8>]) {
-        let reference = serial_reference(spec, streams);
-        for (s, r) in reference.iter().enumerate() {
-            let got = p.outcome(s);
-            assert_eq!(got.windows, r.windows, "stream {s} window count");
-            assert_eq!(got.device_cycles, r.device_cycles, "stream {s} cycles");
+        for (s, r) in serial_reference(spec, streams).iter().enumerate() {
             assert_eq!(
-                got.score_hash,
-                score_hash(&r.scores),
-                "stream {s} scores diverged from the serial reference"
+                p.outcome(s),
+                &r.summary(),
+                "stream {s} vs the serial reference"
             );
-            assert_eq!(got.flags, r.flags.len() as u64, "stream {s} flag count");
-            assert_eq!(got.last_flag, r.flags.last().copied(), "stream {s} flags");
         }
     }
 
@@ -1428,8 +1352,7 @@ mod tests {
         assert_eq!(p.dropped_bytes_total(), p.dropped_bytes(0));
         // The polite neighbor matches the reference exactly.
         let reference = serial_reference(&spec, &streams[1..2]);
-        assert_eq!(p.outcome(1).windows, reference[0].windows);
-        assert_eq!(p.outcome(1).score_hash, score_hash(&reference[0].scores));
+        assert_eq!(p.outcome(1), &reference[0].summary());
     }
 
     #[test]

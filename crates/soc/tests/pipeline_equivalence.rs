@@ -1,140 +1,41 @@
-//! Equivalence law of the streaming pipeline: for any stream count,
-//! stream lengths, batch bound, queue depth and ingest chunking, the
-//! multi-stream batched pipeline produces bit-identical scores, flags
-//! and cycle totals to the per-window serial reference — and a real
-//! prepared detection experiment exported through `serve_spec` behaves
-//! the same way.
+//! Equivalence of the serving plane on a real experiment: a prepared
+//! detection experiment exported through `serve_spec` and served by
+//! `ShardedSparsePipeline` produces outcomes bit-identical to the
+//! per-window serial reference, at one worker (the inline sparse plane)
+//! and at two (threaded shards).
 
-use std::sync::OnceLock;
-
-use proptest::prelude::*;
-
-use rtad_igm::IgmConfig;
-use rtad_ml::{Elm, ElmConfig, Lstm, LstmConfig};
 use rtad_soc::{
-    encode_streams, run_pipeline, serial_reference, sweep_threads, DetectionConfig, ModelKind,
-    PipelineConfig, PreparedDetection, ServeModel, ServeSpec, VerdictPolicy,
+    encode_streams, serial_reference, sweep_threads, DetectionConfig, ModelKind, PreparedDetection,
+    ShardConfig, ShardFeeder, ShardedSparsePipeline, SparseConfig, SparseOutcome, StreamOutcome,
 };
-use rtad_trace::{BranchKind, BranchRecord, VirtAddr};
+use rtad_trace::BranchRecord;
 use rtad_workloads::{AttackInjector, AttackSpec, Benchmark, ProgramModel};
 
-fn targets(n: u32) -> Vec<VirtAddr> {
-    (0..n).map(|k| VirtAddr::new(0x5000 + k * 0x40)).collect()
-}
-
-fn trained_elm() -> &'static Elm {
-    static ELM: OnceLock<Elm> = OnceLock::new();
-    ELM.get_or_init(|| {
-        let normal: Vec<Vec<f32>> = (0..100)
-            .map(|i| {
-                let mut v = vec![0.0; 8];
-                v[i % 4] = 0.7;
-                v[(i + 2) % 4] = 0.3;
-                v
-            })
-            .collect();
-        Elm::train(&ElmConfig::tiny(8), &normal, 3)
-    })
-}
-
-fn trained_lstm() -> &'static Lstm {
-    static LSTM: OnceLock<Lstm> = OnceLock::new();
-    LSTM.get_or_init(|| {
-        let corpus: Vec<u32> = (0..400).map(|i| (i % 6) as u32).collect();
-        Lstm::train(&LstmConfig::tiny(6), &corpus, 9)
-    })
-}
-
-fn spec_for(model: ModelChoice) -> ServeSpec {
-    let policy = VerdictPolicy {
-        threshold: 0.4,
-        hard_threshold: 8.0,
-        alpha: 0.5,
-        burst_k: 2,
-        burst_window_events: 5,
-    };
-    match model {
-        ModelChoice::Elm => ServeSpec {
-            igm: IgmConfig::histogram(&targets(8), 8),
-            model: ServeModel::Elm(trained_elm().clone()),
-            policy,
-            cycles_per_event: 901,
-        },
-        ModelChoice::Lstm => ServeSpec {
-            igm: IgmConfig::token_stream(&targets(6)),
-            model: ServeModel::Lstm(trained_lstm().clone()),
-            policy,
-            cycles_per_event: 1777,
-        },
-    }
-}
-
-#[derive(Debug, Clone, Copy)]
-enum ModelChoice {
-    Elm,
-    Lstm,
-}
-
-fn synth_streams(lens: &[usize], n_targets: u32) -> Vec<Vec<u8>> {
-    let tgts = targets(n_targets);
-    let runs: Vec<Vec<BranchRecord>> = lens
-        .iter()
-        .enumerate()
-        .map(|(s, &len)| {
-            (0..len)
-                .map(|i| {
-                    BranchRecord::new(
-                        VirtAddr::new(0x1000 + (i as u32) * 4),
-                        tgts[(i * (s + 3) + 2 * s) % tgts.len()],
-                        BranchKind::IndirectJump,
-                        (i as u64) * 25,
-                    )
-                })
-                .collect()
-        })
-        .collect();
-    encode_streams(&runs, 1)
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    #[test]
-    fn elm_pipeline_equals_reference(
-        lens in proptest::collection::vec(0usize..200, 1..6),
-        max_batch in 1usize..40,
-        queue_depth in 1usize..64,
-        chunk_bytes in 1usize..300,
-        decode_shards in 0usize..6,
-    ) {
-        let spec = spec_for(ModelChoice::Elm);
-        let streams = synth_streams(&lens, 8);
-        let config = PipelineConfig { max_batch, queue_depth, chunk_bytes, decode_shards };
-        let run = run_pipeline(&spec, &config, &streams);
-        prop_assert_eq!(run.outcomes, serial_reference(&spec, &streams));
-    }
-
-    #[test]
-    fn lstm_pipeline_equals_reference(
-        lens in proptest::collection::vec(0usize..200, 1..6),
-        max_batch in 1usize..40,
-        queue_depth in 1usize..64,
-        chunk_bytes in 1usize..300,
-        decode_shards in 0usize..6,
-    ) {
-        let spec = spec_for(ModelChoice::Lstm);
-        let streams = synth_streams(&lens, 6);
-        let config = PipelineConfig { max_batch, queue_depth, chunk_bytes, decode_shards };
-        let run = run_pipeline(&spec, &config, &streams);
-        prop_assert_eq!(run.outcomes, serial_reference(&spec, &streams));
+/// Feeds every stream losslessly in 512-byte chunks, pumping whenever a
+/// ring lacks space, then closes it.
+fn feed_and_close(fd: &ShardFeeder<'_>, streams: &[Vec<u8>]) {
+    for (s, bytes) in streams.iter().enumerate() {
+        for piece in bytes.chunks(512) {
+            let mut sent = 0;
+            while sent < piece.len() {
+                let n = fd.ring_free(s).min(piece.len() - sent);
+                if n == 0 {
+                    fd.pump();
+                    continue;
+                }
+                assert_eq!(fd.feed(s, &piece[sent..sent + n]), n);
+                sent += n;
+            }
+        }
+        fd.close(s);
     }
 }
 
 /// The CI smoke: eight concurrent streams from a *real* prepared
 /// detection experiment (trained model, calibrated thresholds, measured
 /// per-event cycles via `serve_spec`), each carrying an injected attack
-/// burst, scored through the bounded-batch pipeline — verdicts must
-/// match the serial reference exactly, and the attacked streams must
+/// burst, served with a bounded batch — verdicts must match the serial
+/// reference exactly at W=1 and W=2, and the attacked streams must
 /// raise flags.
 #[test]
 fn eight_attacked_streams_match_serial_reference() {
@@ -175,22 +76,39 @@ fn eight_attacked_streams_match_serial_reference() {
         })
         .collect();
     let streams = encode_streams(&runs, sweep_threads());
+    let reference: Vec<SparseOutcome> = serial_reference(&spec, &streams)
+        .iter()
+        .map(StreamOutcome::summary)
+        .collect();
 
-    let config = PipelineConfig {
-        max_batch: 8,
-        queue_depth: 32,
-        chunk_bytes: 512,
-        decode_shards: 2,
-    };
-    let outcomes = run_pipeline(&spec, &config, &streams).outcomes;
-    let reference = serial_reference(&spec, &streams);
-    assert_eq!(outcomes, reference, "pipeline verdicts must match serial");
+    for workers in [1usize, 2] {
+        let mut p = ShardedSparsePipeline::new(
+            spec.clone(),
+            ShardConfig {
+                workers,
+                sparse: SparseConfig {
+                    ring_capacity: 1024,
+                    max_batch: 8,
+                    drain_bytes: 512,
+                },
+                completion_depth: 32,
+            },
+        );
+        p.register_many(streams.len());
+        p.run(|fd| feed_and_close(fd, &streams));
+        assert_eq!(p.dropped_bytes_total(), 0, "W={workers} dropped bytes");
+        assert_eq!(
+            p.outcomes(),
+            &reference[..],
+            "W={workers} verdicts must match serial"
+        );
+    }
 
-    let windows: u64 = outcomes.iter().map(|o| o.windows).sum();
+    let windows: u64 = reference.iter().map(|o| o.windows).sum();
     assert!(windows > 0, "streams produced no inference windows");
-    for o in &outcomes {
+    for o in &reference {
         assert_eq!(o.device_cycles, o.windows * run.cycles_per_event());
     }
-    let flags: usize = outcomes.iter().map(|o| o.flags.len()).sum();
-    assert!(flags > 0, "no attacked stream raised a flag: {outcomes:?}");
+    let flags: u64 = reference.iter().map(|o| o.flags).sum();
+    assert!(flags > 0, "no attacked stream raised a flag: {reference:?}");
 }

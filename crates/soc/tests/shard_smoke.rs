@@ -5,7 +5,7 @@
 //!
 //! 1. **Bit-identical verdicts across worker counts**: the same
 //!    streams served at W=1 (inline) and W=2 (threaded shards) produce
-//!    identical score hashes, both equal to the serial reference.
+//!    identical outcomes, both equal to the serial reference.
 //! 2. **Zero steady-state allocations per shard** with the transport
 //!    live: after one warm pass inside a running plane, a full
 //!    feed-and-quiesce cycle allocates nothing on any thread (the
@@ -22,7 +22,7 @@ use rtad_alloc_counter::{allocations, CountingAlloc};
 use rtad_igm::IgmConfig;
 use rtad_ml::{Lstm, LstmConfig};
 use rtad_soc::{
-    encode_streams, score_hash, serial_reference, ServeModel, ServeSpec, ShardConfig, ShardFeeder,
+    encode_streams, serial_reference, ServeModel, ServeSpec, ShardConfig, ShardFeeder,
     ShardedSparsePipeline, SparseConfig, VerdictPolicy,
 };
 use rtad_trace::{BranchKind, BranchRecord, VirtAddr};
@@ -123,7 +123,7 @@ fn sharded_serve_smoke() {
 
     // --- Bit-identity across worker counts: W=1 (inline) and W=2
     // (threaded shards) against the serial reference.
-    let mut hashes = Vec::new();
+    let mut runs = Vec::new();
     for workers in [1usize, WORKERS] {
         let mut p = ShardedSparsePipeline::new(
             spec.clone(),
@@ -143,21 +143,16 @@ fn sharded_serve_smoke() {
             }
         });
         assert_eq!(p.dropped_bytes_total(), 0, "W={workers} dropped bytes");
-        let run_hashes: Vec<u64> = (0..ACTIVE).map(|s| p.outcome(s).score_hash).collect();
         for (s, r) in reference.iter().enumerate() {
-            assert_eq!(p.outcome(s).windows, r.windows, "W={workers} stream {s}");
             assert_eq!(
-                run_hashes[s],
-                score_hash(&r.scores),
+                p.outcome(s),
+                &r.summary(),
                 "W={workers} stream {s} diverged from the serial reference"
             );
         }
-        hashes.push(run_hashes);
+        runs.push(p.outcomes()[..ACTIVE].to_vec());
     }
-    assert_eq!(
-        hashes[0], hashes[1],
-        "W=1 and W={WORKERS} score hashes differ"
-    );
+    assert_eq!(runs[0], runs[1], "W=1 and W={WORKERS} outcomes differ");
 
     // --- Zero steady-state allocations with the W=2 transport live:
     // warm one feed+quiesce cycle inside a single run, then gate a

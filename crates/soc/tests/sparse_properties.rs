@@ -23,8 +23,8 @@ use proptest::prelude::*;
 use rtad_igm::IgmConfig;
 use rtad_ml::{Elm, ElmConfig, Lstm, LstmConfig};
 use rtad_soc::{
-    encode_streams, score_hash, serial_reference, ByteRing, ReadyQueue, ServeModel, ServeSpec,
-    SparseConfig, SparsePipeline, VerdictPolicy,
+    encode_streams, serial_reference, ByteRing, ReadyQueue, ServeModel, ServeSpec, SparseConfig,
+    SparsePipeline, VerdictPolicy,
 };
 use rtad_trace::{BranchKind, BranchRecord, VirtAddr};
 
@@ -271,16 +271,7 @@ proptest! {
 
         let reference = serial_reference(&spec, &streams);
         for (s, r) in reference.iter().enumerate() {
-            let got = p.outcome(s);
-            prop_assert_eq!(got.windows, r.windows, "stream {} windows", s);
-            prop_assert_eq!(got.device_cycles, r.device_cycles, "stream {} cycles", s);
-            prop_assert_eq!(
-                got.score_hash,
-                score_hash(&r.scores),
-                "stream {} scores diverged from serial reference", s
-            );
-            prop_assert_eq!(got.flags, r.flags.len() as u64, "stream {} flag count", s);
-            prop_assert_eq!(got.last_flag, r.flags.last().copied(), "stream {} last flag", s);
+            prop_assert_eq!(p.outcome(s), &r.summary(), "stream {} vs serial reference", s);
         }
 
         if idle_extra > 0 {
@@ -354,10 +345,9 @@ proptest! {
         let reference = serial_reference(&spec, &streams);
         for (s, r) in reference.iter().enumerate() {
             if p.dropped_bytes(s) == 0 {
-                prop_assert_eq!(p.outcome(s).windows, r.windows, "stream {} windows", s);
                 prop_assert_eq!(
-                    p.outcome(s).score_hash,
-                    score_hash(&r.scores),
+                    p.outcome(s),
+                    &r.summary(),
                     "drop-free stream {} must be unaffected by sibling drops", s
                 );
             }

@@ -19,8 +19,8 @@ use rtad_alloc_counter::{allocations, CountingAlloc};
 use rtad_igm::IgmConfig;
 use rtad_ml::{Lstm, LstmConfig};
 use rtad_soc::{
-    encode_streams, score_hash, serial_reference, ServeModel, ServeSpec, SparseConfig,
-    SparsePipeline, VerdictPolicy,
+    encode_streams, serial_reference, ServeModel, ServeSpec, SparseConfig, SparsePipeline,
+    VerdictPolicy,
 };
 use rtad_trace::{BranchKind, BranchRecord, VirtAddr};
 
@@ -178,13 +178,10 @@ fn sparse_serve_smoke() {
     p.drain();
     let reference = serial_reference(&spec, &streams);
     for (s, r) in reference.iter().enumerate().skip(1) {
-        let got = p.outcome(s);
-        assert_eq!(got.windows, r.windows, "stream {s} stalled by stream 0");
-        assert_eq!(got.device_cycles, r.device_cycles, "stream {s} cycles");
         assert_eq!(
-            got.score_hash,
-            score_hash(&r.scores),
-            "stream {s} verdicts diverged while a sibling's ring was saturated"
+            p.outcome(s),
+            &r.summary(),
+            "stream {s} stalled or diverged while a sibling's ring was saturated"
         );
         assert_eq!(p.dropped_bytes(s), 0, "stream {s} dropped");
     }
