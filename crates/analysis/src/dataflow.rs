@@ -9,7 +9,8 @@
 //! global thread id) and EXEC (launched full). An instruction reading a
 //! register outside the must-defined set on some path reads whatever
 //! the register file last held — a silent wrong-answer bug the runtime
-//! cannot trap, which is why it is an [`Severity::Error`] here.
+//! cannot trap, which is why it is an
+//! [`Severity::Error`](crate::report::Severity::Error) here.
 //!
 //! Read-modify-write special cases: `v_mac_f32` reads its destination
 //! (`dst += a*b`), and `v_writelane_b32` reads it too (all other lanes

@@ -8,7 +8,7 @@
 //! instruction vector of a [`rtad_miaow::isa::Kernel`] without running
 //! it:
 //!
-//! 1. [`cfg`] — basic-block control-flow graph construction; branch
+//! 1. [`cfg`](mod@cfg) — basic-block control-flow graph construction; branch
 //!    targets are resolved instruction indices, so leaders and edges are
 //!    exact, not heuristic.
 //! 2. [`dataflow`] — a must-defined def-before-use analysis over the

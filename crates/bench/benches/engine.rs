@@ -86,10 +86,11 @@ fn bench_inference(c: &mut Criterion) {
 }
 
 /// The PR-5 tentpole comparison: the same trimmed ML-MIAOW inference
-/// with tier-2 superblock traces on vs forced tier-1 per-instruction
-/// interpretation. Both paths are bit-identical in scores, memory and
-/// simulated cycles (pinned by `rtad-miaow`'s `superblock_equivalence`
-/// property tests); only host wall-clock differs.
+/// with tier-2 superblock traces vs tier-1 per-instruction
+/// interpretation, selected by `observe_coverage`. Both paths are
+/// bit-identical in scores, memory and simulated cycles (pinned by
+/// `rtad-miaow`'s `superblock_equivalence` property tests); only host
+/// wall-clock differs.
 fn bench_superblocks(c: &mut Criterion) {
     let (elm_dev, lstm_dev) = trained_devices();
     let plan = profile_trim_plan(&elm_dev, &lstm_dev);
@@ -97,7 +98,7 @@ fn bench_superblocks(c: &mut Criterion) {
     let mut group = c.benchmark_group("superblock_vs_interpreted");
     for (tier, tier2) in [("interpreted", false), ("superblocks", true)] {
         let mut config = EngineConfig::ml_miaow(&plan);
-        config.superblocks = tier2;
+        config.observe_coverage = !tier2;
         group.bench_with_input(BenchmarkId::new("elm_infer", tier), &config, |b, config| {
             let mut engine = Engine::new(config.clone());
             assert_eq!(engine.uses_superblocks(), tier2);

@@ -2,11 +2,11 @@
 //!
 //! The simulated numbers (cycles, latencies, areas) are the paper's
 //! results; this module measures the *simulator's* own speed: how long
-//! each reproduction stage takes on the host, and how much the
-//! predecoded-kernel cache plus parallel multi-CU execution buy over
-//! the serial interpreter. `repro -- fig8-full` emits the report as
-//! `BENCH_pr2.json` (schema documented in EXPERIMENTS.md); everything
-//! is hand-rolled because the workspace vendors no JSON crate.
+//! each reproduction stage takes on the host, and how much batched
+//! engine dispatch buys over a per-window dispatch loop.
+//! `repro -- fig8-full` emits the report as `BENCH_pr2.json` (schema
+//! documented in EXPERIMENTS.md); everything is hand-rolled because the
+//! workspace vendors no JSON crate.
 
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
@@ -24,14 +24,15 @@ pub struct StageTiming {
     pub wall_ms: f64,
 }
 
-/// Serial-vs-auto engine measurement over a multi-stream batch: the
-/// same per-stream ELM inferences and lockstep LSTM steps run once as a
-/// per-window dispatch loop on a `parallel = false` engine (the pre-PR-5
-/// serving shape: one `launch` per kernel per stream) and once through
-/// the batched `launch_batch` passes (`infer_batch` / `step_batch`) on
-/// the default *auto* engine. Simulated cycle counts are recorded for
-/// both sides so the report itself witnesses that neither batching nor
-/// the auto dispatch policy changes anything the paper measures.
+/// Serial-vs-auto engine measurement over a multi-stream batch. "Auto"
+/// means batched dispatch: the same per-stream ELM inferences and
+/// lockstep LSTM steps run once as a per-window dispatch loop (the
+/// serving shape before batching: one fused-stream launch per stream
+/// per window) and once through the batched passes (`infer_batch` /
+/// `step_batch`, one stream-cache lookup per batch), on engines of the
+/// same configuration. Simulated cycle counts are recorded for both
+/// sides so the report itself witnesses that batching changes nothing
+/// the paper measures.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EngineComparison {
     /// Batched pass repetitions timed per side.
@@ -67,7 +68,7 @@ impl EngineComparison {
 }
 
 /// The `BENCH_pr2.json` payload: per-stage wall-clocks plus the
-/// serial-vs-parallel engine comparison.
+/// serial-vs-auto engine comparison.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchReport {
     /// Master seed the reproduction ran under.
@@ -273,19 +274,16 @@ impl ComparisonSide {
     }
 }
 
-/// Measures the batched auto-mode dispatcher against the per-window
-/// serial dispatch loop over a [`COMPARISON_STREAMS`]-stream batch.
-/// The serial side runs one `infer` / `step` dispatch per stream per
-/// window on a `parallel = false` engine — the serving loop the batched
-/// passes replaced; the batched side dispatches the same windows
-/// through `infer_batch` / `step_batch` on the default *auto* engine,
-/// whose dispatch policy picks the serial in-thread loop below
-/// [`EngineConfig::parallel_min_work`] (and always on single-core
-/// hosts) and CU-partitioned workers above it. The simulated cycle
+/// Measures batched dispatch against the per-window serial dispatch
+/// loop over a `COMPARISON_STREAMS`-stream batch. Both sides run on
+/// an `EngineConfig::ml_miaow` engine. The serial side runs one
+/// `infer` / `step` dispatch per stream per window — the serving loop
+/// the batched passes replaced; the batched side dispatches the same
+/// windows through `infer_batch` / `step_batch`. The simulated cycle
 /// counts must (and do) match bit-for-bit, stream by stream; only the
 /// host wall-clock differs.
 ///
-/// Each of [`COMPARISON_TRIALS`] trials times, on warm engines, the
+/// Each of `COMPARISON_TRIALS` trials times, on warm engines, the
 /// `reps` ELM passes of both sides back to back and then the `reps`
 /// LSTM passes of both sides, alternating which side goes first. The
 /// comparison reports the median trial by speedup, so both sides are
@@ -304,11 +302,9 @@ pub fn measure_engine_speedup(seed: u64, reps: usize) -> EngineComparison {
     let xs = comparison_inputs(streams);
     let tokens: Vec<u32> = (0..streams).map(|s| (s % 16) as u32).collect();
 
-    let mut serial_cfg = EngineConfig::ml_miaow(&plan);
-    serial_cfg.parallel = false;
-    let auto_cfg = EngineConfig::ml_miaow(&plan);
-    let mut serial = ComparisonSide::new(&elm_dev, &lstm_dev, serial_cfg, streams);
-    let mut auto = ComparisonSide::new(&elm_dev, &lstm_dev, auto_cfg, streams);
+    let config = EngineConfig::ml_miaow(&plan);
+    let mut serial = ComparisonSide::new(&elm_dev, &lstm_dev, config.clone(), streams);
+    let mut auto = ComparisonSide::new(&elm_dev, &lstm_dev, config, streams);
 
     let (mut elm_s, mut lstm_s, mut elm_a, mut lstm_a) = (0u64, 0u64, 0u64, 0u64);
     // One trial times each model on both sides back to back; the side
@@ -440,11 +436,9 @@ mod tests {
         assert!(cmp.auto_wall_ms > 0.0);
     }
 
-    /// The engine-dispatch regression gate: the auto dispatcher
-    /// amortizes per-launch setup across the batch, so over a 64-stream
-    /// batch it must actually *win* against the per-window serial loop
-    /// — and its dispatch policy must never re-engage the
-    /// CU-partitioned path where that path loses.
+    /// The engine-dispatch regression gate: batched dispatch amortizes
+    /// per-launch setup across the batch, so over a 64-stream batch it
+    /// must actually *win* against the per-window serial loop.
     #[test]
     fn auto_engine_mode_is_not_slower_than_serial() {
         let _cpu = crate::host_cpu::exclusive();

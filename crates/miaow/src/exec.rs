@@ -1,12 +1,11 @@
 //! The compute-unit functional + cycle model.
 //!
-//! One MIAOW compute unit executes wavefronts of
-//! [`WAVEFRONT_LANES`](crate::isa::WAVEFRONT_LANES) lanes in order. The
-//! model is functional (architectural state only) with a per-instruction
-//! cycle cost table reflecting the RTL's unit latencies: scalar ops are
-//! single-cycle, vector f32 ops pay the 4-stage VALU pipe,
-//! transcendentals the 8-cycle special-function unit, LDS and buffer
-//! accesses their respective memory latencies. Workgroups dispatched to
+//! One MIAOW compute unit executes wavefronts of [`WAVEFRONT_LANES`]
+//! lanes in order. The model is functional (architectural state only)
+//! with a per-instruction cycle cost table reflecting the RTL's unit
+//! latencies: scalar ops are single-cycle, vector f32 ops pay the
+//! 4-stage VALU pipe, transcendentals the 8-cycle special-function
+//! unit, LDS and buffer accesses their respective memory latencies. Workgroups dispatched to
 //! the same CU serialize; parallelism across CUs is the
 //! [`Engine`](crate::engine::Engine)'s job.
 //!
@@ -21,7 +20,7 @@ use std::fmt;
 
 use crate::coverage::{CoverageSet, Feature};
 use crate::isa::{Instr, Kernel, SSrc, VSrc, LDS_BYTES, WAVEFRONT_LANES};
-use crate::memory::{DeviceMemory, GpuMemory};
+use crate::memory::GpuMemory;
 use crate::predecode::{
     DotLoop, DotUniformSrc, LaneKind, LaneOp, MacroOp, POp, PredecodedKernel, SuperTrace,
     Superblock, WaveSchedule, CORE_FEATURE_MASK, PS,
@@ -151,9 +150,9 @@ pub struct RunStats {
 /// Result of one predecoded wavefront execution: stats plus the coverage
 /// gathered up to completion (or up to the faulting instruction), as a
 /// [`Feature::bit`] mask. Carrying the error by value instead of
-/// short-circuiting with `?` lets the parallel engine merge partial
-/// coverage and store logs from a faulted wave exactly like the serial
-/// reference does.
+/// short-circuiting with `?` lets the engine record a faulted wave's
+/// partial coverage before it returns the error, exactly like the
+/// per-instruction reference does.
 #[derive(Debug)]
 pub(crate) struct WaveOutcome {
     /// Per-wave cycle/instruction counts.
@@ -593,18 +592,18 @@ impl ComputeUnit {
     }
 
     /// The predecoded hot loop: runs one wavefront of a lowered kernel
-    /// against any [`DeviceMemory`]. Coverage is accumulated as a
+    /// against a job's [`GpuMemory`]. Coverage is accumulated as a
     /// [`Feature::bit`] mask (merged into a set once per wave by the
     /// caller); errors are returned *with* the coverage gathered up to
     /// the faulting instruction so error-path coverage matches the
     /// original per-instruction recording bit for bit.
-    pub(crate) fn run_wave_pre<M: DeviceMemory>(
+    pub(crate) fn run_wave_pre(
         &mut self,
         pk: &PredecodedKernel,
         sgpr_init: &[u32],
         wave_index: usize,
         max_cycles: u64,
-        mem: &mut M,
+        mem: &mut GpuMemory,
     ) -> WaveOutcome {
         let mut st = WaveState::new(sgpr_init, wave_index);
         let mut stats = RunStats {
@@ -691,16 +690,16 @@ impl ComputeUnit {
     /// - Control flow and trimmed-feature trap sites are never inside a
     ///   block, so branches, `s_endpgm` and traps always go through the
     ///   single-step path.
-    pub(crate) fn run_wave_super<M: DeviceMemory>(
+    pub(crate) fn run_wave_super(
         &mut self,
         pk: &PredecodedKernel,
         sgpr_init: &[u32],
         wave_index: usize,
         max_cycles: u64,
         chunked: bool,
-        mem: &mut M,
+        mem: &mut GpuMemory,
     ) -> WaveOutcome {
-        self.run_wave_super_impl::<false, M>(pk, sgpr_init, wave_index, max_cycles, chunked, mem)
+        self.run_wave_super_impl::<false>(pk, sgpr_init, wave_index, max_cycles, chunked, mem)
     }
 
     /// Tier-2 launch path for kernels whose `max_cycles` is a *proven*
@@ -711,16 +710,16 @@ impl ComputeUnit {
     /// deletes both. Bit-identical to [`ComputeUnit::run_wave_super`]
     /// under the same budget — the gates it removes could not have
     /// changed control flow.
-    pub(crate) fn run_wave_super_proven<M: DeviceMemory>(
+    pub(crate) fn run_wave_super_proven(
         &mut self,
         pk: &PredecodedKernel,
         sgpr_init: &[u32],
         wave_index: usize,
         max_cycles: u64,
         chunked: bool,
-        mem: &mut M,
+        mem: &mut GpuMemory,
     ) -> WaveOutcome {
-        self.run_wave_super_impl::<true, M>(pk, sgpr_init, wave_index, max_cycles, chunked, mem)
+        self.run_wave_super_impl::<true>(pk, sgpr_init, wave_index, max_cycles, chunked, mem)
     }
 
     /// The tier-3 closed-form path: executes a statically-resolved
@@ -734,14 +733,14 @@ impl ComputeUnit {
     /// beyond `pc`. On a memory fault inside a block, the interpreter's
     /// per-instruction prefix is reconstructed from the schedule's
     /// pre-totals plus the tier-1 code, exactly as tier 2 does.
-    pub(crate) fn run_wave_tier3<M: DeviceMemory>(
+    pub(crate) fn run_wave_tier3(
         &mut self,
         pk: &PredecodedKernel,
         sched: &WaveSchedule,
         sgpr_init: &[u32],
         wave_index: usize,
         chunked: bool,
-        mem: &mut M,
+        mem: &mut GpuMemory,
     ) -> WaveOutcome {
         let trace = pk.trace.as_ref().expect("tier-3 schedules require a trace");
         let mut st = WaveState::new(sgpr_init, wave_index);
@@ -836,13 +835,13 @@ impl ComputeUnit {
     /// and partial-write prefix mirrors [`ComputeUnit::run_block`]
     /// exactly. On a load fault, returns the faulting iteration, the
     /// op's instruction offset in the block and the error.
-    fn run_dot_loop<M: DeviceMemory>(
+    fn run_dot_loop(
         &self,
         dl: &DotLoop,
         block_base: usize,
         st: &mut WaveState,
         reps: usize,
-        mem: &M,
+        mem: &GpuMemory,
     ) -> Result<(), (usize, usize, ExecError)> {
         let (mov_dst, mov_src) = dl.mov;
         let (ul_dst, _, ul_src, ul_rel) = dl.uload;
@@ -922,14 +921,14 @@ impl ComputeUnit {
         Ok(())
     }
 
-    fn run_wave_super_impl<const PROVEN: bool, M: DeviceMemory>(
+    fn run_wave_super_impl<const PROVEN: bool>(
         &mut self,
         pk: &PredecodedKernel,
         sgpr_init: &[u32],
         wave_index: usize,
         max_cycles: u64,
         chunked: bool,
-        mem: &mut M,
+        mem: &mut GpuMemory,
     ) -> WaveOutcome {
         let Some(trace) = pk.trace.as_ref() else {
             return self.run_wave_pre(pk, sgpr_init, wave_index, max_cycles, mem);
@@ -1030,13 +1029,13 @@ impl ComputeUnit {
     /// the faulting instruction's offset within the block so the caller
     /// can reconstruct the interpreter's bookkeeping prefix.
     #[allow(clippy::too_many_lines)]
-    fn run_block<M: DeviceMemory>(
+    fn run_block(
         &mut self,
         trace: &SuperTrace,
         b: &Superblock,
         st: &mut WaveState,
         chunked: bool,
-        mem: &mut M,
+        mem: &mut GpuMemory,
     ) -> Result<(), (usize, ExecError)> {
         let base = b.start as usize;
         let ops = &trace.ops[b.op_start as usize..(b.op_start + b.op_len) as usize];
@@ -1250,11 +1249,11 @@ impl ComputeUnit {
         Ok(())
     }
 
-    fn exec_straightline<M: DeviceMemory>(
+    fn exec_straightline(
         &mut self,
         instr: &Instr,
         st: &mut WaveState,
-        mem: &mut M,
+        mem: &mut GpuMemory,
     ) -> Result<(), ExecError> {
         let pc = st.pc;
         let sread = |st: &WaveState, s: &SSrc| -> u32 {

@@ -248,17 +248,17 @@ pub enum Instr {
         src: VSrc,
     },
     // --- Vector compare / select ---
-    /// VCC[lane] = a > b.
+    /// `VCC[lane] = a > b`.
     VCmpGtF32 {
         a: VSrc,
         b: Vreg,
     },
-    /// VCC[lane] = a < b.
+    /// `VCC[lane] = a < b`.
     VCmpLtF32 {
         a: VSrc,
         b: Vreg,
     },
-    /// dst[lane] = VCC[lane] ? b : a.
+    /// `dst[lane] = VCC[lane] ? b : a`.
     VCndmaskB32 {
         dst: Vreg,
         a: VSrc,
@@ -276,24 +276,24 @@ pub enum Instr {
         lane: u8,
     },
     // --- Vector memory ---
-    /// dst = mem[s[sbase] + v[vaddr]] (byte address, dword access).
+    /// `dst = mem[s[sbase] + v[vaddr]]` (byte address, dword access).
     BufferLoadDword {
         dst: Vreg,
         vaddr: Vreg,
         sbase: Sreg,
     },
-    /// mem[s[sbase] + v[vaddr]] = src.
+    /// `mem[s[sbase] + v[vaddr]] = src`.
     BufferStoreDword {
         src: Vreg,
         vaddr: Vreg,
         sbase: Sreg,
     },
-    /// dst = lds[v[addr]].
+    /// `dst = lds[v[addr]]`.
     DsReadB32 {
         dst: Vreg,
         addr: Vreg,
     },
-    /// lds[v[addr]] = src.
+    /// `lds[v[addr]] = src`.
     DsWriteB32 {
         addr: Vreg,
         src: Vreg,

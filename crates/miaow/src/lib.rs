@@ -33,9 +33,8 @@
 //!   ML-MIAOW (5 CUs in the same area), with dispatch overheads.
 //! * [`predecode`] — the host-performance layer: kernels are lowered
 //!   once into a flat dispatch-optimized form (precomputed costs,
-//!   coverage masks, trap verdicts) cached by kernel fingerprint, and
-//!   multi-CU launches can run wavefronts on parallel host threads with
-//!   bit-identical results (see DESIGN.md §10).
+//!   coverage masks, trap verdicts) cached by kernel fingerprint (see
+//!   DESIGN.md §10).
 //!
 //! # Examples
 //!
@@ -85,14 +84,11 @@ pub mod trim;
 pub use area::{variant_area, EngineVariant};
 pub use asm::{assemble, AssembleError};
 pub use coverage::{CoverageSet, Feature};
-pub use engine::{
-    default_parallel_min_work, parallel_min_work_for_threads, Engine, EngineConfig,
-    KernelAttestation, LaunchMode, LaunchStats, TierCensus, DEFAULT_PARALLEL_MIN_WORK,
-};
+pub use engine::{Engine, EngineConfig, KernelAttestation, LaunchStats, TierCensus};
 #[cfg(debug_assertions)]
 pub use exec::LaneRace;
 pub use exec::{ComputeUnit, Dispatch, ExecError, RunStats};
 pub use isa::{Instr, Kernel, WAVEFRONT_LANES};
-pub use memory::{DeviceMemory, GpuMemory};
+pub use memory::GpuMemory;
 pub use predecode::{KernelCacheStats, PredecodeStats, PredecodedKernel, PredecodedStream};
 pub use trim::{verify_trim, TrimPlan, TrimReport, TrimWorkload};

@@ -118,82 +118,6 @@ impl GpuMemory {
     }
 }
 
-/// Dword-level device-memory access, the interface the execution loop
-/// runs against. [`GpuMemory`] is the direct implementation; the
-/// partitioned batch launcher substitutes an undo-logging wrapper so a
-/// job that must be rolled back after a fault in an earlier job can be
-/// restored to its pre-launch image.
-pub trait DeviceMemory {
-    /// Whether `addr` is a valid dword address.
-    fn contains(&self, addr: usize) -> bool;
-    /// Reads a dword (panics on invalid addresses, like [`GpuMemory`]).
-    fn read_u32(&self, addr: usize) -> u32;
-    /// Writes a dword (panics on invalid addresses).
-    fn write_u32(&mut self, addr: usize, value: u32);
-}
-
-impl DeviceMemory for GpuMemory {
-    fn contains(&self, addr: usize) -> bool {
-        GpuMemory::contains(self, addr)
-    }
-    fn read_u32(&self, addr: usize) -> u32 {
-        GpuMemory::read_u32(self, addr)
-    }
-    fn write_u32(&mut self, addr: usize, value: u32) {
-        GpuMemory::write_u32(self, addr, value);
-    }
-}
-
-/// A write-through wrapper over a job's [`GpuMemory`] that records the
-/// **old** value of every overwritten dword. The partitioned batch
-/// launcher runs each job directly against its own memory (no shadow
-/// snapshot, no cross-CU merge); if an *earlier* job faults after this
-/// job already ran, replaying this job's undo log in reverse restores
-/// its memory to the pre-launch image — exactly the "later jobs do not
-/// run" semantics of issuing the launches in sequence.
-#[derive(Debug)]
-pub(crate) struct UndoMemory<'a> {
-    mem: &'a mut GpuMemory,
-    undo: Vec<(u32, u32)>,
-}
-
-impl<'a> UndoMemory<'a> {
-    /// Wraps a job's device memory.
-    pub(crate) fn new(mem: &'a mut GpuMemory) -> Self {
-        UndoMemory {
-            mem,
-            undo: Vec::new(),
-        }
-    }
-
-    /// The (addr, previous value) log, oldest first. Replay it in
-    /// **reverse** to restore the pre-launch image.
-    pub(crate) fn into_undo_log(self) -> Vec<(u32, u32)> {
-        self.undo
-    }
-
-    /// Reverses a log produced by [`UndoMemory::into_undo_log`] against
-    /// the same memory.
-    pub(crate) fn rollback(mem: &mut GpuMemory, undo: &[(u32, u32)]) {
-        for &(addr, old) in undo.iter().rev() {
-            mem.write_u32(addr as usize, old);
-        }
-    }
-}
-
-impl DeviceMemory for UndoMemory<'_> {
-    fn contains(&self, addr: usize) -> bool {
-        self.mem.contains(addr)
-    }
-    fn read_u32(&self, addr: usize) -> u32 {
-        self.mem.read_u32(addr)
-    }
-    fn write_u32(&mut self, addr: usize, value: u32) {
-        self.undo.push((addr as u32, self.mem.read_u32(addr)));
-        self.mem.write_u32(addr, value);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -230,25 +154,6 @@ mod tests {
     #[should_panic(expected = "dword-aligned")]
     fn odd_size_rejected() {
         GpuMemory::new(63);
-    }
-
-    #[test]
-    fn undo_memory_rollback_restores_prelaunch_image() {
-        let mut m = GpuMemory::new(64);
-        m.write_u32(0, 1);
-        m.write_u32(8, 2);
-        let before = m.clone();
-
-        let mut u = UndoMemory::new(&mut m);
-        DeviceMemory::write_u32(&mut u, 0, 7);
-        DeviceMemory::write_u32(&mut u, 8, 9);
-        DeviceMemory::write_u32(&mut u, 0, 11); // overwrite twice
-        assert_eq!(DeviceMemory::read_u32(&u, 0), 11);
-        let undo = u.into_undo_log();
-        assert_eq!(undo, vec![(0, 1), (8, 2), (0, 7)]);
-
-        UndoMemory::rollback(&mut m, &undo);
-        assert_eq!(m, before);
     }
 
     #[test]

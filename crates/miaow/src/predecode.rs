@@ -9,7 +9,7 @@
 //! that walk dominated host wall-clock.
 //!
 //! Lowering happens once per kernel instead: every instruction becomes a
-//! [`PreInstr`] carrying its precomputed cycle cost, its coverage
+//! `PreInstr` carrying its precomputed cycle cost, its coverage
 //! features as a single [`Feature::bit`] mask, and — when the engine is
 //! trimmed — the trap verdict (which feature faults, and which features
 //! of the same instruction were already recorded when the serial path
@@ -912,8 +912,8 @@ impl PredecodedKernel {
         }
     }
 
-    /// Lowers `kernel` through all tiers: tier-1 [`PreInstr`]s, the
-    /// tier-2 [`SuperTrace`] the superblock executor dispatches on, and
+    /// Lowers `kernel` through all tiers: tier-1 `PreInstr`s, the
+    /// tier-2 `SuperTrace` the superblock executor dispatches on, and
     /// tier-3 closed-form wave schedules where control flow resolves
     /// statically.
     pub fn lower_traced(kernel: &Kernel, cost: &CostModel, retained: Option<&CoverageSet>) -> Self {
@@ -995,7 +995,7 @@ impl PredecodedKernel {
     }
 }
 
-/// Per-kernel hit/miss telemetry of one [`PredecodeCache`] entry, keyed
+/// Per-kernel hit/miss telemetry of one `PredecodeCache` entry, keyed
 /// by name + fingerprint so a report can show *which* kernel
 /// misses (and which carry tier-3 schedules) rather than one global
 /// hit-rate.
@@ -1013,7 +1013,7 @@ pub struct KernelCacheStats {
     pub tier3_waves: usize,
 }
 
-/// Hit/miss/size counters of a [`PredecodeCache`], surfaced through
+/// Hit/miss/size counters of a `PredecodeCache`, surfaced through
 /// [`Engine::predecode_stats`](crate::Engine::predecode_stats) and the
 /// benchmark telemetry so cache effectiveness is visible across PRs.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -1090,8 +1090,8 @@ impl PredecodedStream {
 /// verdicts against (`None` = untrimmed). Within one engine the retained
 /// set is fixed, but the compound key makes the cache sound to share and
 /// lets the hit-rate telemetry cover both lowering tiers uniformly.
-/// `Arc` because the partitioned batch launcher shares the lowered
-/// kernel across CU worker threads. Fused streams are cached separately
+/// `Arc` so a launch can hold a lowered kernel or stream while it
+/// mutates the engine's CUs and counters. Fused streams are cached separately
 /// by the stage fingerprint/wave sequence; their lookups are accounted
 /// as one hit or miss *per stage* so totals stay comparable with
 /// per-launch counting.

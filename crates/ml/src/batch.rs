@@ -148,9 +148,11 @@ impl Elm {
     }
 
     /// Scores the rows stacked in `arena` into `out` (cleared first),
-    /// bit-identical to [`Elm::score`] per row. The allocation-free
-    /// core: with a warmed arena and pre-sized `out`, a batch no larger
-    /// than the largest seen so far never touches the heap.
+    /// bit-identical to the ELM's
+    /// [`VectorModel::score`](crate::VectorModel::score) per row. The
+    /// allocation-free core: with a warmed arena and pre-sized `out`, a
+    /// batch no larger than the largest seen so far never touches the
+    /// heap.
     ///
     /// # Panics
     ///

@@ -2,7 +2,7 @@
 //!
 //! After Creech & Hu ("A semantic approach to host-based intrusion
 //! detection systems using contiguous and discontiguous system call
-//! patterns", the paper's [2]): a single-hidden-layer network whose
+//! patterns", the paper's \[2\]): a single-hidden-layer network whose
 //! input weights are *random and fixed* and whose output weights are
 //! solved in closed form — "more lightweight than a traditional MLP
 //! while providing similar accuracy".

@@ -210,15 +210,6 @@ const ELM_LAUNCH_ARGS: usize = 5;
 /// [`LstmDevice::args`].
 const LSTM_LAUNCH_ARGS: usize = 10;
 
-/// Below this many streams, the batched entry points run each stream
-/// through the fused per-event path instead of lockstep kernel batches:
-/// per-launch batching overhead (job vectors, partition bookkeeping)
-/// dominates under the engine's parallel-dispatch crossover, which is
-/// where the `engine_scaling` sweep measured `auto_speedup < 1` at
-/// N ∈ {1, 8} (EXPERIMENTS.md, serving trend table). Results are
-/// bit-identical either way; only host throughput differs.
-const SMALL_BATCH_STREAMS: usize = 16;
-
 impl ElmDevice {
     /// Compiles a trained ELM for the device.
     ///
@@ -433,19 +424,22 @@ impl ElmDevice {
         })
     }
 
-    /// Runs one inference event per stream as three batched kernel
-    /// launches over all streams in lockstep — the engine-backed
-    /// serving path's amortized dispatch. Each stream's score, flag and
-    /// cycle count is bit-identical to calling [`ElmDevice::infer`] per
-    /// stream; batching (and the engine's partitioned parallel batch
-    /// path) only changes host-side throughput.
+    /// Runs one inference event per stream: stages every stream's
+    /// input, then runs the fused three-kernel stream for each stream
+    /// in turn, with one stream-cache lookup for the whole batch — the
+    /// engine-backed serving path's amortized dispatch. Each stream's
+    /// score, flag and cycle count is bit-identical to calling
+    /// [`ElmDevice::infer`] per stream; batching only changes host-side
+    /// throughput.
     ///
     /// # Errors
     ///
-    /// Propagates the first engine [`ExecError`]. A batched pass is not
-    /// failure-atomic across streams: on an error, streams may be left
-    /// mid-event (earlier kernels of the pass applied, later ones not),
-    /// so callers should discard the batch's memories.
+    /// Propagates the first failing stream's engine [`ExecError`], with
+    /// the effects of calling [`ElmDevice::infer`] per stream in order
+    /// up to that stream: earlier streams hold their completed event,
+    /// the failing stream keeps its completed kernels and the faulting
+    /// wave's pre-fault stores, and later streams hold only their
+    /// staged input (no kernel ran on them).
     ///
     /// # Panics
     ///
@@ -458,13 +452,6 @@ impl ElmDevice {
         xs: &[Vec<f32>],
     ) -> Result<Vec<DeviceInference>, ExecError> {
         assert_eq!(mems.len(), xs.len(), "one input per stream memory");
-        if mems.len() <= SMALL_BATCH_STREAMS {
-            return mems
-                .iter_mut()
-                .zip(xs)
-                .map(|(mem, x)| self.infer(engine, mem, x))
-                .collect();
-        }
         for (mem, x) in mems.iter_mut().zip(xs) {
             assert_eq!(x.len(), ELM_DEVICE_INPUT, "device input width");
             mem.write_f32_slice(self.x_base, x);
@@ -880,17 +867,20 @@ impl LstmDevice {
         })
     }
 
-    /// Advances one step per stream as four batched kernel launches
-    /// over all streams in lockstep (each stream may observe a
-    /// different token — per-job launch arguments carry the per-stream
-    /// embedding and logit offsets). Each stream's score and cycle
-    /// count is bit-identical to calling [`LstmDevice::step`] per
-    /// stream; batching only changes host-side throughput.
+    /// Advances one step per stream as the two fused kernel streams of
+    /// [`LstmDevice::step`], each batched over all streams (each stream
+    /// may observe a different token — per-job launch arguments carry
+    /// the per-stream embedding and logit offsets). Each stream's score
+    /// and cycle count is bit-identical to calling [`LstmDevice::step`]
+    /// per stream; batching only changes host-side throughput.
     ///
     /// # Errors
     ///
     /// Propagates the first engine [`ExecError`]. Not failure-atomic
-    /// across streams (see [`ElmDevice::infer_batch`]).
+    /// across streams: the scoring stream runs over every stream before
+    /// the advancing stream starts, so on an error some streams may have
+    /// run more kernels of the step than others. Callers should discard
+    /// the batch's memories.
     ///
     /// # Panics
     ///
@@ -903,13 +893,6 @@ impl LstmDevice {
         tokens: &[u32],
     ) -> Result<Vec<DeviceInference>, ExecError> {
         assert_eq!(mems.len(), tokens.len(), "one token per stream memory");
-        if mems.len() <= SMALL_BATCH_STREAMS {
-            return mems
-                .iter_mut()
-                .zip(tokens)
-                .map(|(mem, &t)| self.step(engine, mem, t))
-                .collect();
-        }
         for &t in tokens {
             assert!((t as usize) < self.vocab, "token outside vocabulary");
         }
@@ -1131,52 +1114,9 @@ mod tests {
         assert!(fast_lstm.cycles < full_lstm.cycles);
     }
 
-    /// Host-thread parallelism is invisible to the device: scores,
-    /// cycle counts and the full memory image match the serial
-    /// reference bit for bit (the tentpole's determinism contract, at
-    /// the model level).
-    #[test]
-    fn parallel_engine_scores_are_bit_identical_to_serial() {
-        let elm = trained_elm();
-        let elm_dev = ElmDevice::compile(&elm);
-        let mut lstm = trained_lstm();
-        lstm.reset();
-        let lstm_dev = LstmDevice::compile(&lstm);
-
-        let mut serial_cfg = EngineConfig::miaow();
-        serial_cfg.cus = 5;
-        let mut parallel_cfg = serial_cfg.clone();
-        parallel_cfg.parallel = true;
-        let mut se = Engine::new(serial_cfg);
-        let mut pe = Engine::new(parallel_cfg);
-
-        let mut smem = elm_dev.load(&mut se);
-        let mut pmem = elm_dev.load(&mut pe);
-        for case in 0..3 {
-            let mut x = vec![0.0f32; 16];
-            x[case % 4] = 0.6;
-            x[(case + 2) % 16] = 0.4;
-            let s = elm_dev.infer(&mut se, &mut smem, &x).unwrap();
-            let p = elm_dev.infer(&mut pe, &mut pmem, &x).unwrap();
-            assert_eq!(s, p, "ELM case {case}");
-        }
-        assert_eq!(smem, pmem);
-
-        let mut smem = lstm_dev.load(&mut se);
-        let mut pmem = lstm_dev.load(&mut pe);
-        for &t in &[0u32, 1, 2, 3, 9, 1] {
-            let s = lstm_dev.step(&mut se, &mut smem, t).unwrap();
-            let p = lstm_dev.step(&mut pe, &mut pmem, t).unwrap();
-            assert_eq!(s, p, "LSTM token {t}");
-        }
-        assert_eq!(smem, pmem);
-        assert_eq!(se.observed_coverage(), pe.observed_coverage());
-    }
-
     /// The batched passes are the serving hot path: per stream they
     /// must equal the one-event-at-a-time reference bit for bit —
-    /// scores, flags, cycles and the full memory images — on both a
-    /// serial and a batch-parallel engine.
+    /// scores, flags, cycles and the full memory images.
     #[test]
     fn batched_passes_are_bit_identical_to_per_stream_loops() {
         let elm = trained_elm();
@@ -1186,54 +1126,50 @@ mod tests {
         let lstm_dev = LstmDevice::compile(&lstm);
         let streams = 7;
 
-        for parallel in [false, true] {
-            let mut cfg = EngineConfig::miaow();
-            cfg.cus = 5;
-            cfg.observe_coverage = false;
-            cfg.parallel = parallel;
-            cfg.parallel_min_work = if parallel { 0 } else { cfg.parallel_min_work };
-            let mut re = Engine::new(cfg.clone());
-            let mut be = Engine::new(cfg);
+        let mut cfg = EngineConfig::miaow();
+        cfg.cus = 5;
+        cfg.observe_coverage = false;
+        let mut re = Engine::new(cfg.clone());
+        let mut be = Engine::new(cfg);
 
-            // ELM: distinct inputs per stream.
-            let xs: Vec<Vec<f32>> = (0..streams)
-                .map(|i| {
-                    let mut x = vec![0.0f32; 16];
-                    x[i % 4] = 0.6;
-                    x[(i + 2) % 16] = 0.4;
-                    x
-                })
-                .collect();
-            let proto = elm_dev.load(&mut re);
-            let mut ref_mems: Vec<GpuMemory> = (0..streams).map(|_| proto.clone()).collect();
-            let _ = elm_dev.load(&mut be); // same predecode warm-up
-            let mut bat_mems: Vec<GpuMemory> = (0..streams).map(|_| proto.clone()).collect();
-            let mut ref_out = Vec::new();
-            for (mem, x) in ref_mems.iter_mut().zip(&xs) {
-                ref_out.push(elm_dev.infer(&mut re, mem, x).unwrap());
-            }
-            let bat_out = elm_dev.infer_batch(&mut be, &mut bat_mems, &xs).unwrap();
-            assert_eq!(bat_out, ref_out, "ELM (parallel={parallel})");
-            assert_eq!(bat_mems, ref_mems);
-
-            // LSTM: distinct token streams, several lockstep steps.
-            let proto = lstm_dev.load(&mut re);
-            let mut ref_mems: Vec<GpuMemory> = (0..streams).map(|_| proto.clone()).collect();
-            let _ = lstm_dev.load(&mut be);
-            let mut bat_mems: Vec<GpuMemory> = (0..streams).map(|_| proto.clone()).collect();
-            for step in 0..3u32 {
-                let tokens: Vec<u32> = (0..streams as u32).map(|s| (s + step) % 16).collect();
-                let mut ref_out = Vec::new();
-                for (mem, &t) in ref_mems.iter_mut().zip(&tokens) {
-                    ref_out.push(lstm_dev.step(&mut re, mem, t).unwrap());
-                }
-                let bat_out = lstm_dev
-                    .step_batch(&mut be, &mut bat_mems, &tokens)
-                    .unwrap();
-                assert_eq!(bat_out, ref_out, "LSTM step {step} (parallel={parallel})");
-            }
-            assert_eq!(bat_mems, ref_mems);
+        // ELM: distinct inputs per stream.
+        let xs: Vec<Vec<f32>> = (0..streams)
+            .map(|i| {
+                let mut x = vec![0.0f32; 16];
+                x[i % 4] = 0.6;
+                x[(i + 2) % 16] = 0.4;
+                x
+            })
+            .collect();
+        let proto = elm_dev.load(&mut re);
+        let mut ref_mems: Vec<GpuMemory> = (0..streams).map(|_| proto.clone()).collect();
+        let _ = elm_dev.load(&mut be); // same predecode warm-up
+        let mut bat_mems: Vec<GpuMemory> = (0..streams).map(|_| proto.clone()).collect();
+        let mut ref_out = Vec::new();
+        for (mem, x) in ref_mems.iter_mut().zip(&xs) {
+            ref_out.push(elm_dev.infer(&mut re, mem, x).unwrap());
         }
+        let bat_out = elm_dev.infer_batch(&mut be, &mut bat_mems, &xs).unwrap();
+        assert_eq!(bat_out, ref_out, "ELM");
+        assert_eq!(bat_mems, ref_mems);
+
+        // LSTM: distinct token streams, several lockstep steps.
+        let proto = lstm_dev.load(&mut re);
+        let mut ref_mems: Vec<GpuMemory> = (0..streams).map(|_| proto.clone()).collect();
+        let _ = lstm_dev.load(&mut be);
+        let mut bat_mems: Vec<GpuMemory> = (0..streams).map(|_| proto.clone()).collect();
+        for step in 0..3u32 {
+            let tokens: Vec<u32> = (0..streams as u32).map(|s| (s + step) % 16).collect();
+            let mut ref_out = Vec::new();
+            for (mem, &t) in ref_mems.iter_mut().zip(&tokens) {
+                ref_out.push(lstm_dev.step(&mut re, mem, t).unwrap());
+            }
+            let bat_out = lstm_dev
+                .step_batch(&mut be, &mut bat_mems, &tokens)
+                .unwrap();
+            assert_eq!(bat_out, ref_out, "LSTM step {step}");
+        }
+        assert_eq!(bat_mems, ref_mems);
     }
 
     #[test]

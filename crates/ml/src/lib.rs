@@ -3,13 +3,13 @@
 //! The paper deploys two models on RTAD (§IV-C), both trained on normal
 //! SPEC CINT2006 branch behaviour only:
 //!
-//! * **ELM** (after Creech & Hu [2]) — an Extreme Learning Machine over
+//! * **ELM** (after Creech & Hu \[2\]) — an Extreme Learning Machine over
 //!   *system-call* features: a fixed random hidden layer and a
 //!   closed-form (ridge regression) output layer. We realize it as an
 //!   ELM **autoencoder**: it reconstructs the syscall-histogram input,
 //!   and the reconstruction error is the anomaly score — trainable from
 //!   normal data alone. [`Elm`].
-//! * **LSTM** (after Yi et al. [8]) — a recurrent next-branch model over
+//! * **LSTM** (after Yi et al. \[8\]) — a recurrent next-branch model over
 //!   *general branches*: embedding → LSTM cell → softmax over the branch
 //!   vocabulary; the anomaly score of a branch is its negative log
 //!   likelihood. Trained with truncated BPTT + Adam. [`Lstm`].

@@ -1,7 +1,7 @@
 //! The LSTM next-branch model (general-branch features).
 //!
 //! After Yi et al., "Mimicry resilient program behavior modeling with
-//! LSTM based branch models" (the paper's [8]): an embedding → LSTM cell
+//! LSTM based branch models" (the paper's \[8\]): an embedding → LSTM cell
 //! → softmax-over-vocabulary network trained to predict the *next*
 //! branch token of normal execution. At inference the anomaly score of
 //! an observed branch is its negative log likelihood under the model;

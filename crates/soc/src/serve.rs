@@ -349,8 +349,6 @@ pub(crate) struct BatchFormer {
     /// Lockstep scratch: whether a stream already has a window in the
     /// batch being formed.
     in_batch: Vec<bool>,
-    /// Windows of each stream waiting in `queue`.
-    pending: Vec<usize>,
     windows: u64,
     batches: u64,
     max_batch_seen: usize,
@@ -370,7 +368,6 @@ impl BatchFormer {
             queue: VecDeque::new(),
             batch: Vec::with_capacity(max_batch),
             in_batch: Vec::new(),
-            pending: Vec::new(),
             windows: 0,
             batches: 0,
             max_batch_seen: 0,
@@ -393,14 +390,12 @@ impl BatchFormer {
         self.verdicts.push(VerdictState::new());
         self.outcomes.push(SparseOutcome::default());
         self.in_batch.push(false);
-        self.pending.push(0);
         self.ctx.add_stream(&self.spec);
     }
 
     /// Queues one decoded window of `stream` (windows of one stream
     /// must arrive in decode order).
     pub(crate) fn push(&mut self, stream: usize, payload: VectorPayload) {
-        self.pending[stream] += 1;
         self.queue.push_back((stream, payload));
     }
 
@@ -475,7 +470,6 @@ impl BatchFormer {
                     .expect("queue length fixed this pass");
                 if self.batch.len() < self.max_batch && !self.in_batch[stream] {
                     self.in_batch[stream] = true;
-                    self.pending[stream] -= 1;
                     self.batch.push((stream, payload));
                 } else {
                     self.queue.push_back((stream, payload));
@@ -484,10 +478,7 @@ impl BatchFormer {
         } else {
             while self.batch.len() < self.max_batch {
                 match self.queue.pop_front() {
-                    Some((stream, payload)) => {
-                        self.pending[stream] -= 1;
-                        self.batch.push((stream, payload));
-                    }
+                    Some(window) => self.batch.push(window),
                     None => break,
                 }
             }
@@ -510,8 +501,7 @@ impl BatchFormer {
     }
 
     /// Resident bytes the former keeps for `stream`: verdict state,
-    /// model lane, outcome slot and its two bookkeeping slots
-    /// (`in_batch`, `pending`).
+    /// model lane, outcome slot and its `in_batch` bookkeeping slot.
     pub(crate) fn stream_resident_bytes(&self, stream: usize) -> usize {
         self.verdicts[stream].resident_bytes()
             + self
@@ -521,7 +511,6 @@ impl BatchFormer {
                 .map_or(0, LstmLane::resident_bytes)
             + size_of::<SparseOutcome>()
             + size_of::<bool>()
-            + size_of::<usize>()
     }
 
     /// Resident bytes of the reusable cross-stream scratch (window

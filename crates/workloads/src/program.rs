@@ -5,7 +5,7 @@
 //! (hot/cold direct successors, indirect-jump target sets, call-site
 //! callee sets). Random walks over the graph ([`crate::TraceGenerator`])
 //! produce branch traces whose statistics follow the benchmark's
-//! [`BenchProfile`](crate::BenchProfile).
+//! [`BenchProfile`].
 
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
