@@ -125,11 +125,11 @@ impl IgmShared {
     }
 }
 
-// Thread-ownership contract of the split, pinned at compile time for
-// the sharded serving plane (`rtad-soc::shard`): one [`IgmShared`] is
-// read concurrently by every worker shard (`Sync`), while each
-// [`IgmSession`] is *owned* by exactly one shard and only ever moves
-// between threads whole (`Send`). Both types are plain owned data —
+// Thread-ownership contract of the split, pinned at compile time: a
+// serving pipeline may move to its own thread (one per traced CPU)
+// together with its [`IgmShared`] and [`IgmSession`]s (`Send`), and
+// one [`IgmShared`] may be read from several threads at once (`Sync`).
+// Both types are plain owned data —
 // no interior mutability, no `Rc`, no raw pointers — so the bounds
 // hold structurally; these assertions keep a future field from
 // silently revoking them.

@@ -37,11 +37,10 @@ use std::iter::repeat_n;
 use crate::elm::{sigmoid, Elm};
 use crate::lstm::{dev_tanh, softmax_clipped_in_place, Lstm};
 
-// The cross-stream batch former's intake runs on a dedicated consumer
-// thread in the sharded serving plane (`rtad-soc::shard`): the arena
-// and the per-stream LSTM lanes it stacks must move into that thread.
-// Both are plain owned buffers, so `Send` holds structurally; the
-// assertions keep it that way.
+// A serving pipeline may move to its own thread (one per traced CPU)
+// together with its batch arena and per-stream LSTM lanes. Both are
+// plain owned buffers, so `Send` holds structurally; the assertions
+// keep it that way.
 const _: () = {
     const fn assert_send<T: Send>() {}
     assert_send::<BatchArena>();

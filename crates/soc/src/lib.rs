@@ -23,17 +23,13 @@
 //!   deployed model, IGM table and verdict policy), the per-stream
 //!   [`VerdictState`], the [`serial_reference`] oracle, and the one
 //!   batch former (cross-stream batched ELM/LSTM scoring plus
-//!   verdicts) that both planes below own.
-//! * [`sparse`] — the inline serving plane: per-stream bounded rings
-//!   feeding an epoll-style readiness queue so a 100k-stream,
-//!   mostly-idle population costs CPU proportional to *ready* streams
-//!   and a measured, compact number of resident bytes per idle stream.
-//! * [`shard`] — the same plane partitioned over `W` worker shards
-//!   (own `ReadyQueue`, rings, sessions — lock-free, cache-local),
-//!   feeding the batch former through bounded SPSC completion rings.
-//!   `W = 1` is the inline [`sparse`] plane. Both are bit-identical to
-//!   the serial reference for any `W` and allocation-free in steady
-//!   state.
+//!   verdicts) that the serving plane below owns.
+//! * [`sparse`] — the serving plane, on the calling thread: per-stream
+//!   bounded rings feeding an epoll-style readiness queue so a
+//!   100k-stream, mostly-idle population costs CPU proportional to
+//!   *ready* streams and a measured, compact number of resident bytes
+//!   per idle stream. It is bit-identical to the serial reference and
+//!   allocation-free in steady state.
 //! * [`sweep`] — the batched sweep runner: order-preserving parallel
 //!   execution of independent experiment cells (figure output stays
 //!   byte-identical to the serial loops).
@@ -60,7 +56,6 @@ pub mod backend;
 pub mod detection;
 pub mod overhead;
 pub mod serve;
-pub mod shard;
 pub mod sparse;
 pub mod sweep;
 pub mod transfer;
@@ -80,12 +75,9 @@ pub use serve::{
     encode_streams, fold_score_hash, score_hash, serial_reference, ServeModel, ServeSpec,
     SparseOutcome, StreamOutcome, VerdictPolicy, VerdictState, SCORE_HASH_SEED,
 };
-pub use shard::{
-    auto_workers, ShardConfig, ShardFeeder, ShardStats, ShardedSparsePipeline, SpscByteRing,
-    SpscRing, MAX_AUTO_WORKERS,
-};
 pub use sparse::{
-    ByteRing, MemoryFootprint, ReadyQueue, RoundStats, SparseConfig, SparsePipeline, SparseStats,
+    ByteRing, MemoryFootprint, ReadyQueue, RoundStats, ShardConfig, ShardFeeder,
+    ShardedSparsePipeline, SparseConfig, SparsePipeline, SparseStats,
 };
 pub use sweep::{parallel_map, sweep_threads};
 pub use transfer::{

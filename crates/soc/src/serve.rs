@@ -1,13 +1,12 @@
 //! The serving plane's shared core: the deployed-model spec, the
 //! per-stream verdict state machine, the serial oracle, and the one
-//! batch former both serving planes own.
+//! batch former the serving plane owns.
 //!
 //! A deployment of RTAD watches many victim cores at once: every core's
 //! TPIU emits its own trace byte stream, and the serving host decodes,
 //! scores and judges all of them. The [`sparse`] plane schedules ingest
-//! by readiness on one thread; the [`shard`] plane partitions it over
-//! `W` worker threads. Both hand decoded windows to a `BatchFormer`,
-//! which owns everything after decode:
+//! by readiness on one thread and hands decoded windows to a
+//! `BatchFormer`, which owns everything after decode:
 //!
 //! ```text
 //!   decoded windows ──▶ [queue] ──take_batch──▶ InferCtx::score ──▶ VerdictState::observe
@@ -40,7 +39,6 @@
 //! not modeled silicon; no paper number moves.
 //!
 //! [`sparse`]: crate::sparse
-//! [`shard`]: crate::shard
 
 use std::collections::VecDeque;
 use std::mem::size_of;
@@ -132,7 +130,7 @@ pub struct StreamOutcome {
 }
 
 impl StreamOutcome {
-    /// The fixed-size form the serving planes record: the oracle
+    /// The fixed-size form the serving plane records: the oracle
     /// comparison is `assert_eq!(plane.outcome(s), &reference[s].summary())`.
     pub fn summary(&self) -> SparseOutcome {
         SparseOutcome {
@@ -169,7 +167,7 @@ pub fn score_hash(scores: &[f64]) -> u64 {
         .fold(SCORE_HASH_SEED, |h, &s| fold_score_hash(h, s))
 }
 
-/// Fixed-size per-stream outcome of the serving planes. Unlike
+/// Fixed-size per-stream outcome of the serving plane. Unlike
 /// [`StreamOutcome`] it does **not** keep the score vector — per-stream
 /// memory must stay flat over any stream lifetime — so scores are
 /// witnessed by a running order-sensitive hash instead.
@@ -228,7 +226,7 @@ impl VerdictState {
     }
 
     /// Resident bytes of this verdict state (struct plus burst-hit
-    /// ring), for the serving planes' memory-per-stream accounting.
+    /// ring), for the serving plane's memory-per-stream accounting.
     pub fn resident_bytes(&self) -> usize {
         size_of::<Self>() + self.recent_hits.capacity() * size_of::<u64>()
     }
@@ -292,7 +290,7 @@ impl InferCtx {
 
     /// Registers one more stream (a fresh recurrent lane under the
     /// LSTM; a no-op for the stateless ELM). Lane indices follow
-    /// registration order, matching the planes' stream ids.
+    /// registration order, matching the plane's stream ids.
     fn add_stream(&mut self, spec: &ServeSpec) {
         if let ServeModel::Lstm(lstm) = &spec.model {
             self.lanes.push(lstm.lane());
@@ -334,9 +332,8 @@ impl InferCtx {
 /// The one batch former of the serving plane: queues decoded windows,
 /// forms cross-stream batches, scores them, runs per-stream verdicts
 /// and records each stream's [`SparseOutcome`]. The sparse plane owns
-/// one on its polling thread; the sharded plane owns one on its
-/// consumer thread. Registration allocates every per-stream slot; the
-/// steady state allocates nothing.
+/// one on its polling thread. Registration allocates every per-stream
+/// slot; the steady state allocates nothing.
 pub(crate) struct BatchFormer {
     spec: ServeSpec,
     max_batch: usize,
@@ -404,15 +401,6 @@ impl BatchFormer {
         self.queue.len()
     }
 
-    /// Reserves queue room for `windows` in-flight windows so later
-    /// pushes up to that depth never allocate.
-    pub(crate) fn reserve(&mut self, windows: usize) {
-        if self.queue.capacity() < windows {
-            let grow = windows - self.queue.len();
-            self.queue.reserve(grow);
-        }
-    }
-
     /// Scores the next batch: forms it from the queue, scores it,
     /// updates each window's verdict and outcome, then hands every
     /// scored dense buffer to `recycle(stream, buffer)` for reuse by
@@ -443,6 +431,9 @@ impl BatchFormer {
             }
         }
         for (stream, payload) in self.batch.drain(..) {
+            // Clear only this batch's lockstep marks: O(batch), not
+            // O(registered streams).
+            self.in_batch[stream] = false;
             if let VectorPayload::Dense(buf) = payload {
                 recycle(stream, buf);
             }
@@ -455,11 +446,16 @@ impl BatchFormer {
     /// one window per stream. Skipped windows rotate to the back of the
     /// queue in scan order, which preserves every stream's relative
     /// window order without rebuilding the queue — the whole call is
-    /// allocation-free once the scratch buffers are warm.
+    /// allocation-free once the scratch buffers are warm. Every
+    /// `in_batch` mark is clear on entry: `score_next` clears the marks
+    /// of the batch it scored.
     fn take_batch(&mut self) {
+        debug_assert!(
+            self.in_batch.iter().all(|&b| !b),
+            "a scored batch left a lockstep mark set"
+        );
         self.batch.clear();
         if self.ctx.lockstep {
-            self.in_batch.iter_mut().for_each(|b| *b = false);
             // Examine each queued window exactly once; rejects rotate to
             // the back, so after `len` pops the queue holds exactly the
             // rejects in their original relative order.
@@ -523,7 +519,7 @@ impl BatchFormer {
 /// The per-window serial reference: each stream decoded and scored on
 /// its own with the scalar model path (`Elm::score` / `Lstm::score_next`
 /// through a fresh clone), then run through the same verdict state
-/// machine. This is the oracle the serving planes must match bit for
+/// machine. This is the oracle the serving plane must match bit for
 /// bit.
 pub fn serial_reference(spec: &ServeSpec, streams: &[Vec<u8>]) -> Vec<StreamOutcome> {
     streams

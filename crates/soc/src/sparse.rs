@@ -28,10 +28,9 @@
 //!   stall a neighbor stream.
 //! * **Polling** visits only ready streams: each drains up to
 //!   [`SparseConfig::drain_bytes`] from its ring through its decode
-//!   session, and emitted windows go to the plane's batch former
-//!   (`crate::serve`, shared with the sharded plane, so the
-//!   bit-identity contract transfers), which scores cross-stream
-//!   batches and updates verdicts. A stream whose ring still holds
+//!   session, and emitted windows go to the plane's one batch former
+//!   (`crate::serve`), which scores cross-stream batches and updates
+//!   verdicts. A stream whose ring still holds
 //!   bytes re-enqueues itself; an idle stream costs zero CPU per round
 //!   and a measured, compact number of resident bytes
 //!   ([`SparsePipeline::memory_footprint`]).
@@ -42,7 +41,13 @@
 //! [`summary`](crate::StreamOutcome::summary) of
 //! [`serial_reference`](crate::serial_reference)'s outcome exactly, as
 //! long as no ring overflowed.
+//!
+//! Every stream is served on the calling thread. The
+//! [`ShardedSparsePipeline`] handle at the end of this module is a
+//! newtype over [`SparsePipeline`] that the repository benchmark still
+//! builds against; it adds no behaviour.
 
+use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::mem::size_of;
 
@@ -306,7 +311,7 @@ impl MemoryFootprint {
 /// windows. One decoded byte yields at most one window, so a sub-bite
 /// puts at most this many un-recycled buffers in flight before the
 /// next high-water check.
-pub(crate) const DENSE_SUBQUANTUM: usize = 64;
+const DENSE_SUBQUANTUM: usize = 64;
 
 /// Queue length that forces a batch flush while draining dense
 /// streams. `DENSE_HIGH_WATER + DENSE_SUBQUANTUM + max_batch` bounds
@@ -592,6 +597,122 @@ impl SparsePipeline {
             stream_bytes,
             scratch_bytes,
         }
+    }
+}
+
+/// Knobs of [`ShardedSparsePipeline`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct ShardConfig {
+    /// Serving threads. Only `0` (the default) and `1` are accepted:
+    /// both select the one inline [`SparsePipeline`].
+    pub workers: usize,
+    /// The pipeline's scheduling knobs.
+    pub sparse: SparseConfig,
+}
+
+/// A thin handle over [`SparsePipeline`], kept only because the
+/// repository benchmark (`perfbench/`) is frozen and builds against
+/// it. It adds nothing: every stream is served on the calling thread
+/// by the one inline pipeline. A later change to the benchmark ports
+/// perfbench to [`SparsePipeline`] and deletes this handle,
+/// [`ShardFeeder`] and [`ShardConfig`].
+pub struct ShardedSparsePipeline(SparsePipeline);
+
+/// The feed-side handle [`ShardedSparsePipeline::run`] passes to its
+/// closure: [`SparsePipeline`]'s ingest calls behind a shared
+/// reference.
+pub struct ShardFeeder<'a>(RefCell<&'a mut SparsePipeline>);
+
+impl ShardFeeder<'_> {
+    /// [`SparsePipeline::feed`].
+    pub fn feed(&self, stream: usize, bytes: &[u8]) -> usize {
+        self.0.borrow_mut().feed(stream, bytes)
+    }
+
+    /// [`SparsePipeline::ring_free`].
+    pub fn ring_free(&self, stream: usize) -> usize {
+        self.0.borrow().ring_free(stream)
+    }
+
+    /// [`SparsePipeline::close`].
+    pub fn close(&self, stream: usize) {
+        self.0.borrow_mut().close(stream);
+    }
+
+    /// One [`SparsePipeline::poll_round`].
+    pub fn pump(&self) {
+        self.0.borrow_mut().poll_round();
+    }
+
+    /// [`SparsePipeline::drain`]: every byte accepted so far is decoded
+    /// and scored, and every close requested so far has flushed.
+    pub fn quiesce(&self) {
+        self.0.borrow_mut().drain();
+    }
+
+    /// Windows scored so far.
+    pub fn windows_scored(&self) -> u64 {
+        self.0.borrow().stats().windows
+    }
+}
+
+impl ShardedSparsePipeline {
+    /// A pipeline serving `spec` with no streams registered yet.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config.workers` is above 1.
+    pub fn new(spec: ServeSpec, config: ShardConfig) -> Self {
+        assert!(
+            config.workers <= 1,
+            "ShardConfig::workers = {}: serving runs on one thread; the threaded shard \
+             transport was deleted (DESIGN.md §17)",
+            config.workers
+        );
+        ShardedSparsePipeline(SparsePipeline::new(spec, config.sparse))
+    }
+
+    /// [`SparsePipeline::register_many`].
+    pub fn register_many(&mut self, n: usize) {
+        self.0.register_many(n);
+    }
+
+    /// Streams registered.
+    pub fn registered(&self) -> usize {
+        self.0.stats().registered
+    }
+
+    /// Hands `f` the feed handle, then drains: on return every accepted
+    /// byte is decoded and scored and every closed stream is flushed.
+    pub fn run<R>(&mut self, f: impl FnOnce(&ShardFeeder<'_>) -> R) -> R {
+        let result = f(&ShardFeeder(RefCell::new(&mut self.0)));
+        self.0.drain();
+        result
+    }
+
+    /// [`SparsePipeline::outcome`].
+    pub fn outcome(&self, stream: usize) -> &SparseOutcome {
+        self.0.outcome(stream)
+    }
+
+    /// [`SparsePipeline::outcomes`].
+    pub fn outcomes(&self) -> &[SparseOutcome] {
+        self.0.outcomes()
+    }
+
+    /// [`SparsePipeline::dropped_bytes`].
+    pub fn dropped_bytes(&self, stream: usize) -> u64 {
+        self.0.dropped_bytes(stream)
+    }
+
+    /// [`SparsePipeline::dropped_bytes_total`].
+    pub fn dropped_bytes_total(&self) -> u64 {
+        self.0.dropped_bytes_total()
+    }
+
+    /// [`SparsePipeline::stats`].
+    pub fn stats(&self) -> SparseStats {
+        self.0.stats()
     }
 }
 
@@ -895,5 +1016,126 @@ mod tests {
         assert_eq!(q.dequeue(), Some(0));
         assert_eq!(q.dequeue(), Some(1));
         assert_eq!(q.dequeue(), None);
+    }
+
+    /// Lossless feed through the benchmark handle: pump whenever the
+    /// ring lacks room for the next piece.
+    fn feed_via(fd: &ShardFeeder<'_>, stream: usize, bytes: &[u8]) {
+        for piece in bytes.chunks(37) {
+            while fd.ring_free(stream) < piece.len() {
+                fd.pump();
+            }
+            assert_eq!(fd.feed(stream, piece), piece.len());
+        }
+    }
+
+    /// What one pass of perfbench's call pattern left behind.
+    struct BenchmarkPass {
+        spec: ServeSpec,
+        streams: Vec<Vec<u8>>,
+        pipeline: ShardedSparsePipeline,
+        /// Per run: `windows_scored` at the final `quiesce`, and
+        /// `stats().windows` once the run returned.
+        barriers: Vec<(u64, u64)>,
+        /// Bytes accepted by a feed to a stream closed in an earlier run.
+        late_accepted: usize,
+    }
+
+    /// The handle driven in perfbench's pattern: two runs on one
+    /// pipeline with the pool grown in between, `quiesce` mid-run,
+    /// closes, and a late feed to a stream closed in the earlier run.
+    fn serve_like_the_benchmark(spec: ServeSpec) -> BenchmarkPass {
+        let streams = encode_streams(&runs(4, &[150, 90, 120, 60], 6), 1);
+        let mut pipeline = ShardedSparsePipeline::new(
+            spec.clone(),
+            ShardConfig {
+                workers: 1,
+                sparse: SparseConfig {
+                    ring_capacity: 96,
+                    max_batch: 4,
+                    drain_bytes: 48,
+                },
+            },
+        );
+        let mut barriers = Vec::new();
+        let mut late_accepted = usize::MAX;
+        for (run, ids) in [0..2, 2..4].into_iter().enumerate() {
+            pipeline.register_many(2);
+            assert_eq!(pipeline.registered(), ids.end);
+            let mut scored_at_quiesce = 0;
+            pipeline.run(|fd| {
+                for s in ids.clone() {
+                    let half = streams[s].len() / 2;
+                    feed_via(fd, s, &streams[s][..half]);
+                    fd.quiesce();
+                    feed_via(fd, s, &streams[s][half..]);
+                    fd.close(s);
+                }
+                fd.quiesce();
+                scored_at_quiesce = fd.windows_scored();
+                if run > 0 {
+                    late_accepted = fd.feed(0, &[0xAA; 8]);
+                }
+            });
+            barriers.push((scored_at_quiesce, pipeline.stats().windows));
+        }
+        BenchmarkPass {
+            spec,
+            streams,
+            pipeline,
+            barriers,
+            late_accepted,
+        }
+    }
+
+    #[test]
+    fn handle_drops_late_feeds_to_streams_closed_in_earlier_runs() {
+        for spec in [elm_spec(), lstm_spec()] {
+            let pass = serve_like_the_benchmark(spec);
+            assert_eq!(
+                pass.late_accepted, 0,
+                "a stream closed in an earlier run must drop"
+            );
+            assert_eq!(pass.pipeline.dropped_bytes(0), 8);
+            assert_eq!(pass.pipeline.dropped_bytes_total(), 8);
+        }
+    }
+
+    #[test]
+    fn handle_quiesce_is_a_steady_state_barrier() {
+        for spec in [elm_spec(), lstm_spec()] {
+            let pass = serve_like_the_benchmark(spec);
+            assert_eq!(pass.barriers.len(), 2);
+            for (run, &(scored_at_quiesce, windows)) in pass.barriers.iter().enumerate() {
+                assert_eq!(scored_at_quiesce, windows, "run {run}");
+            }
+        }
+    }
+
+    #[test]
+    fn handle_at_one_worker_is_the_sparse_pipeline() {
+        for spec in [elm_spec(), lstm_spec()] {
+            let pass = serve_like_the_benchmark(spec);
+            let p = &pass.pipeline;
+            assert_eq!(p.outcomes().len(), pass.streams.len());
+            for (s, r) in serial_reference(&pass.spec, &pass.streams)
+                .iter()
+                .enumerate()
+            {
+                assert_eq!(p.outcome(s), &r.summary(), "stream {s} vs the reference");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "DESIGN.md")]
+    fn handle_rejects_two_workers() {
+        ShardedSparsePipeline::new(
+            lstm_spec(),
+            ShardConfig {
+                workers: 2,
+                ..ShardConfig::default()
+            },
+        );
     }
 }

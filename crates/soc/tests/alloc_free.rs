@@ -16,8 +16,8 @@ use rtad_alloc_counter::{allocations, CountingAlloc};
 use rtad_igm::{IgmConfig, StreamingIgm, VectorPayload};
 use rtad_ml::{BatchArena, Elm, ElmConfig, Lstm, LstmConfig, LstmLane};
 use rtad_soc::{
-    ServeModel, ServeSpec, ShardConfig, ShardedSparsePipeline, SparseConfig, SparsePipeline,
-    VerdictPolicy,
+    ServeModel, ServeSpec, ShardConfig, ShardFeeder, ShardedSparsePipeline, SparseConfig,
+    SparsePipeline, VerdictPolicy,
 };
 use rtad_trace::{BranchKind, BranchRecord, PtmConfig, StreamEncoder, VirtAddr};
 
@@ -242,7 +242,7 @@ fn hot_paths_are_allocation_free_in_steady_state() {
             cycles_per_event: 700,
         },
     ];
-    for spec in sparse_specs {
+    for spec in sparse_specs.clone() {
         let is_lstm = matches!(spec.model, ServeModel::Lstm(_));
         let mut p = SparsePipeline::new(spec, SparseConfig::default());
         p.register_many(64); // 4 will be active, 60 stay idle
@@ -273,56 +273,47 @@ fn hot_paths_are_allocation_free_in_steady_state() {
         );
     }
 
-    // --- Sharded sparse serving (PR 10): with the two-shard threaded
-    // plane live — worker threads, SPSC doorbell/completion transport
-    // and the batch-former consumer all running — a warm
-    // feed-and-quiesce cycle must make zero allocations on any thread
-    // (the counting gate is process-global). Token-stream front end:
-    // windows carry no heap payload, so the gate pins the scheduler
-    // and transport themselves; dense-pool top-up across threads is an
-    // allocation optimization and is covered by the inline gate above.
-    let spec = ServeSpec {
-        igm: IgmConfig::token_stream(&targets()),
-        model: ServeModel::Lstm(lstm.clone()),
-        policy: quiet,
-        cycles_per_event: 700,
-    };
-    let mut p = ShardedSparsePipeline::new(
-        spec,
-        ShardConfig {
-            workers: 2,
-            sparse: SparseConfig::default(),
-            completion_depth: 64,
-        },
-    );
-    p.register_many(64); // 4 active, 60 idle, split over 2 shards
-    let active = 4usize;
-    let (n, steady_windows) = p.run(|fd| {
-        let cycle = |fd: &rtad_soc::ShardFeeder<'_>| {
-            for s in 0..active {
-                for piece in bytes.chunks(256) {
-                    while fd.ring_free(s) < piece.len() {
-                        fd.pump();
+    // --- The benchmark's serving handle: `ShardedSparsePipeline` at
+    // one worker, driven the way perfbench drives it (`run` hands out a
+    // `ShardFeeder` whose `feed` / `pump` / `quiesce` borrow the inline
+    // pipeline through a `RefCell`). A warm feed-and-quiesce cycle
+    // inside one `run`, then a gated cycle, for both the dense ELM and
+    // the LSTM token front ends.
+    for spec in sparse_specs {
+        let is_lstm = matches!(spec.model, ServeModel::Lstm(_));
+        let mut p = ShardedSparsePipeline::new(
+            spec,
+            ShardConfig {
+                workers: 1,
+                sparse: SparseConfig::default(),
+            },
+        );
+        p.register_many(64); // 4 active, 60 idle
+        let active = 4usize;
+        let (n, steady_windows) = p.run(|fd| {
+            let cycle = |fd: &ShardFeeder<'_>| {
+                for s in 0..active {
+                    for piece in bytes.chunks(256) {
+                        while fd.ring_free(s) < piece.len() {
+                            fd.pump();
+                        }
+                        assert_eq!(fd.feed(s, piece), piece.len());
                     }
-                    assert_eq!(fd.feed(s, piece), piece.len());
                 }
-            }
-            fd.quiesce();
-        };
-        cycle(fd); // warm pass with the transport live
-        let warm = fd.windows_scored();
-        assert!(warm > 0, "sharded warm-up emitted no windows");
-        let n = settled_allocations(|| cycle(fd));
-        (n, fd.windows_scored() - warm)
-    });
-    assert!(
-        steady_windows > 0,
-        "sharded steady phase emitted no windows"
-    );
-    assert_eq!(p.dropped_bytes_total(), 0, "lossless feeder dropped bytes");
-    assert_eq!(
-        n, 0,
-        "steady-state sharded serving made {n} allocations over \
-         {steady_windows} windows across 2 shards"
-    );
+                fd.quiesce();
+            };
+            cycle(fd); // warm pass inside the run
+            let warm = fd.windows_scored();
+            assert!(warm > 0, "handle warm-up emitted no windows");
+            let n = settled_allocations(|| cycle(fd));
+            (n, fd.windows_scored() - warm)
+        });
+        assert!(steady_windows > 0, "handle steady phase emitted no windows");
+        assert_eq!(p.dropped_bytes_total(), 0, "lossless feeder dropped bytes");
+        assert_eq!(
+            n, 0,
+            "steady-state serving through the handle (lstm={is_lstm}) made {n} \
+             allocations over {steady_windows} windows"
+        );
+    }
 }

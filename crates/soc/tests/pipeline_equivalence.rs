@@ -1,8 +1,8 @@
 //! Equivalence of the serving plane on a real experiment: a prepared
 //! detection experiment exported through `serve_spec` and served by
-//! `ShardedSparsePipeline` produces outcomes bit-identical to the
-//! per-window serial reference, at one worker (the inline sparse plane)
-//! and at two (threaded shards).
+//! `ShardedSparsePipeline` (the benchmark's handle over the one inline
+//! `SparsePipeline`) produces outcomes bit-identical to the per-window
+//! serial reference.
 
 use rtad_soc::{
     encode_streams, serial_reference, sweep_threads, DetectionConfig, ModelKind, PreparedDetection,
@@ -35,8 +35,7 @@ fn feed_and_close(fd: &ShardFeeder<'_>, streams: &[Vec<u8>]) {
 /// detection experiment (trained model, calibrated thresholds, measured
 /// per-event cycles via `serve_spec`), each carrying an injected attack
 /// burst, served with a bounded batch — verdicts must match the serial
-/// reference exactly at W=1 and W=2, and the attacked streams must
-/// raise flags.
+/// reference exactly, and the attacked streams must raise flags.
 #[test]
 fn eight_attacked_streams_match_serial_reference() {
     let config = DetectionConfig {
@@ -81,28 +80,21 @@ fn eight_attacked_streams_match_serial_reference() {
         .map(StreamOutcome::summary)
         .collect();
 
-    for workers in [1usize, 2] {
-        let mut p = ShardedSparsePipeline::new(
-            spec.clone(),
-            ShardConfig {
-                workers,
-                sparse: SparseConfig {
-                    ring_capacity: 1024,
-                    max_batch: 8,
-                    drain_bytes: 512,
-                },
-                completion_depth: 32,
+    let mut p = ShardedSparsePipeline::new(
+        spec.clone(),
+        ShardConfig {
+            workers: 1,
+            sparse: SparseConfig {
+                ring_capacity: 1024,
+                max_batch: 8,
+                drain_bytes: 512,
             },
-        );
-        p.register_many(streams.len());
-        p.run(|fd| feed_and_close(fd, &streams));
-        assert_eq!(p.dropped_bytes_total(), 0, "W={workers} dropped bytes");
-        assert_eq!(
-            p.outcomes(),
-            &reference[..],
-            "W={workers} verdicts must match serial"
-        );
-    }
+        },
+    );
+    p.register_many(streams.len());
+    p.run(|fd| feed_and_close(fd, &streams));
+    assert_eq!(p.dropped_bytes_total(), 0, "dropped bytes");
+    assert_eq!(p.outcomes(), &reference[..], "verdicts must match serial");
 
     let windows: u64 = reference.iter().map(|o| o.windows).sum();
     assert!(windows > 0, "streams produced no inference windows");
