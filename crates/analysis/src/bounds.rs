@@ -1,11 +1,9 @@
 //! Static per-wave cycle-bound analysis.
 //!
 //! Proves a worst-case simulated-cycle bound for one wavefront of a
-//! kernel, or reports `Unbounded` with the offending branch. The engine
-//! uses proven bounds as watchdog budgets (replacing the fixed
-//! `MAX_CYCLES_PER_WAVE` constant) and to skip per-instruction watchdog
-//! checks on the tier-2 fast path — see DESIGN.md §14 for the full
-//! soundness argument.
+//! kernel, or reports `Unbounded` with the offending branch. The bound
+//! is a verifier finding; the engine keeps its fixed watchdog budget.
+//! DESIGN.md §14 gives the soundness argument.
 //!
 //! # Algorithm
 //!

@@ -2,12 +2,13 @@
 //!
 //! Proves that the lanes of a wavefront never write conflicting memory
 //! within any single store instruction, yielding a
-//! [`LaneDisjointness`] certificate. The certificate is the soundness
-//! gate for lane-chunked (SIMD-style) execution: per-instruction lane
-//! reordering is observation-equivalent iff no two lanes of one store
-//! write overlapping bytes with different values. DESIGN.md §14 gives
-//! the full argument; the debug-only write-log race checker in
-//! `rtad-miaow` cross-validates the certificate dynamically.
+//! [`LaneDisjointness`] certificate: reordering the lanes of any store
+//! is observation-equivalent iff no two lanes of one store write
+//! overlapping bytes with different values. The certificate is a
+//! verifier finding (the engine runs lanes in order regardless).
+//! DESIGN.md §14 gives the full argument; the debug-only write-log race
+//! checker in `rtad-miaow` cross-validates the certificate
+//! dynamically.
 //!
 //! # Abstract domain
 //!
@@ -48,7 +49,7 @@ use crate::cfg::Cfg;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LaneDisjointness {
     /// No store instruction can make two lanes of a wave write
-    /// conflicting bytes: lane-chunked execution is sound.
+    /// conflicting bytes: the lanes of every store commute.
     Disjoint,
     /// The store at `pc` could not be proven interference-free.
     MayInterfere {

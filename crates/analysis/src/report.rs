@@ -65,12 +65,11 @@ pub enum FindingKind {
     /// it would trap with `ExecError::TrimmedFeature` at runtime.
     TrimIncompatible,
     /// A back edge whose trip count the cycle-bound analysis cannot
-    /// prove — the kernel runs under the engine's default watchdog
-    /// budget instead of a derived one.
+    /// prove — only the engine's watchdog budget bounds the kernel.
     Unbounded,
     /// A store the lane-interference analysis cannot prove
-    /// lane-private or broadcast — the kernel is excluded from
-    /// lane-chunked execution.
+    /// lane-private or broadcast — the kernel gets no lane-disjointness
+    /// certificate.
     MayInterfere,
 }
 
@@ -114,22 +113,6 @@ impl fmt::Display for Finding {
     }
 }
 
-/// Tier-2 lowering metadata for a verified kernel: how the engine's
-/// superblock trace covers it (see `rtad-miaow`'s DESIGN.md §13). Purely
-/// descriptive — superblock execution is bit-identical to the tier-1
-/// interpreter, so none of these numbers affect any verdict.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct SuperblockInfo {
-    /// Straight-line superblocks formed between branch targets, control
-    /// flow and trap sites.
-    pub superblocks: usize,
-    /// Macro-ops across all superblocks (fused lane groups count as
-    /// one).
-    pub macro_ops: usize,
-    /// Lane-local vector ops fused into multi-op macro groups.
-    pub fused_lane_ops: usize,
-}
-
 /// The result of statically analyzing one kernel.
 #[derive(Debug, Clone, PartialEq)]
 pub struct KernelReport {
@@ -145,10 +128,6 @@ pub struct KernelReport {
     pub static_features: CoverageSet,
     /// The findings, in program order.
     pub findings: Vec<Finding>,
-    /// Tier-2 trace metadata, populated when a verifying engine lowered
-    /// the kernel with superblock traces (`None` for pure static
-    /// analysis, tier-1 engines, or rejected kernels).
-    pub superblocks: Option<SuperblockInfo>,
     /// The static per-wave cycle bound (launch-independent; under the
     /// analyzing engine's cost model). `None` only for reports built
     /// by paths that skip resource analysis (e.g. pure trim checks).
@@ -188,13 +167,6 @@ impl fmt::Display for KernelReport {
             self.static_features.len(),
             self.findings.len()
         )?;
-        if let Some(sb) = &self.superblocks {
-            writeln!(
-                f,
-                "  tier-2: {} superblocks, {} macro-ops, {} fused lane ops",
-                sb.superblocks, sb.macro_ops, sb.fused_lane_ops
-            )?;
-        }
         if let Some(bound) = &self.cycle_bound {
             writeln!(f, "  resources: {bound}")?;
         }
@@ -245,7 +217,6 @@ mod tests {
                 mk(Severity::Warning, FindingKind::UnreachableCode),
                 mk(Severity::Error, FindingKind::UseBeforeDef),
             ],
-            superblocks: None,
             cycle_bound: None,
             lane_disjointness: None,
         };

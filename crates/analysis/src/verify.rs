@@ -17,7 +17,7 @@ use std::fmt;
 use rtad_miaow::coverage::{CoverageSet, Feature};
 use rtad_miaow::exec::CostModel;
 use rtad_miaow::isa::Kernel;
-use rtad_miaow::{Engine, ExecError, GpuMemory, KernelAttestation, LaunchStats, TrimPlan};
+use rtad_miaow::{Engine, ExecError, GpuMemory, LaunchStats, TrimPlan};
 
 use crate::bounds::{cycle_bound, CycleBound};
 use crate::cfg::Cfg;
@@ -87,7 +87,7 @@ pub fn analyze(kernel: &Kernel, n_args: usize) -> KernelReport {
     // default cost model (a verifying engine re-derives it under its
     // own model) and the lane-interference certificate. Both degrade to
     // warnings — an unbounded kernel still runs under the default
-    // watchdog, an interfering one is just excluded from lane chunking.
+    // watchdog, and an interfering one still runs its lanes in order.
     let bound = cycle_bound(kernel, &CostModel::default(), None);
     if let CycleBound::Unbounded { pc } = bound {
         findings.push(Finding {
@@ -113,7 +113,7 @@ pub fn analyze(kernel: &Kernel, n_args: usize) -> KernelReport {
             feature: None,
             message: format!(
                 "`{}` may write overlapping bytes from different lanes; \
-                 lane-chunked execution stays disabled",
+                 no lane-disjointness certificate",
                 code[pc].mnemonic()
             ),
         });
@@ -126,7 +126,6 @@ pub fn analyze(kernel: &Kernel, n_args: usize) -> KernelReport {
         blocks: cfg.blocks().len(),
         static_features: static_features(&cfg, code),
         findings,
-        superblocks: None,
         cycle_bound: Some(bound),
         lane_disjointness: Some(lanes),
     }
@@ -278,9 +277,7 @@ impl From<ExecError> for LaunchError {
 /// An [`Engine`] that statically verifies every kernel before launching
 /// it, caching per-kernel verdicts by fingerprint, argument count and
 /// the engine's current trim plan (so re-trimming the engine can never
-/// reuse a stale compatibility verdict). Clean verdicts with a finite
-/// cycle bound are attested into the engine, which then derives its
-/// watchdog budget from the proven bound instead of the fixed default.
+/// reuse a stale compatibility verdict).
 #[derive(Debug, Clone)]
 pub struct VerifiedEngine {
     engine: Engine,
@@ -334,31 +331,8 @@ impl VerifiedEngine {
                 // A clean verdict means this kernel is about to run;
                 // lower it into the engine's predecode cache now (both
                 // caches key on the same content fingerprint) so the
-                // first launch pays no lowering cost. When the engine
-                // lowers with tier-2 traces, surface the trace shape in
-                // the report.
-                let pk = self.engine.predecode(kernel);
-                if pk.has_trace() {
-                    report.superblocks = Some(crate::report::SuperblockInfo {
-                        superblocks: pk.superblocks(),
-                        macro_ops: pk.macro_ops(),
-                        fused_lane_ops: pk.fused_lane_ops(),
-                    });
-                }
-                // Hand the proven resource certificate to the engine:
-                // it derives the watchdog budget from the bound and
-                // gates lane-chunked execution on disjointness.
-                if let (Some(CycleBound::Bounded(cycles)), Some(lanes)) =
-                    (report.cycle_bound, report.lane_disjointness)
-                {
-                    self.engine.attest(
-                        kernel.fingerprint(),
-                        KernelAttestation {
-                            max_wave_cycles: cycles,
-                            lane_disjoint: lanes.is_disjoint(),
-                        },
-                    );
-                }
+                // first launch pays no lowering cost.
+                self.engine.predecode(kernel);
             }
             self.verdicts.insert(key, report);
         }
@@ -498,33 +472,6 @@ mod tests {
     }
 
     #[test]
-    fn verified_engine_surfaces_superblock_metadata() {
-        let store = assemble(
-            "v_lshl_b32 v1, v0, 2\nv_cvt_f32_i32 v2, v0\nbuffer_store_dword v2, v1, s0\ns_endpgm",
-        )
-        .unwrap();
-        let mut profiler = Engine::new(EngineConfig::miaow());
-        let mut mem = GpuMemory::new(1024);
-        profiler.launch(&store, 1, &[0], &mut mem).unwrap();
-        let plan = TrimPlan::from_coverage(profiler.observed_coverage());
-
-        // The serving engine lowers with tier-2 traces: the verdict
-        // carries the trace shape.
-        let mut serving = VerifiedEngine::new(Engine::new(EngineConfig::ml_miaow(&plan)));
-        assert!(serving.engine().uses_superblocks());
-        let report = serving.verify(&store, 1);
-        let sb = report.superblocks.expect("tier-2 metadata populated");
-        assert!(sb.superblocks >= 1);
-        assert!(sb.macro_ops >= 1);
-
-        // A tier-1 profiling engine produces no trace metadata.
-        let mut profiling = VerifiedEngine::new(Engine::new(EngineConfig::miaow()));
-        assert!(!profiling.engine().uses_superblocks());
-        let report = profiling.verify(&store, 1);
-        assert_eq!(report.superblocks, None);
-    }
-
-    #[test]
     fn verdicts_are_cached_by_fingerprint_and_arg_count() {
         let k = assemble("v_mov_b32 v1, 1.0\ns_endpgm").unwrap();
         let mut engine = VerifiedEngine::new(Engine::new(EngineConfig::miaow()));
@@ -571,7 +518,7 @@ mod tests {
     }
 
     #[test]
-    fn clean_bounded_kernels_are_attested_into_the_engine() {
+    fn clean_bounded_kernels_carry_both_certificates() {
         let k = assemble(
             "v_lshl_b32 v1, v0, 2\nv_cvt_f32_i32 v2, v0\nbuffer_store_dword v2, v1, s0\ns_endpgm",
         )
@@ -585,18 +532,19 @@ mod tests {
             .as_bounded()
             .expect("straight-line kernel is bounded");
         assert_eq!(report.lane_disjointness, Some(LaneDisjointness::Disjoint));
+        assert!(!report
+            .warnings()
+            .any(|f| matches!(f.kind, FindingKind::Unbounded | FindingKind::MayInterfere)));
 
-        let att = engine
-            .engine()
-            .attestation(k.fingerprint())
-            .expect("clean bounded kernel attested");
-        assert_eq!(att.max_wave_cycles, bound);
-        assert!(att.lane_disjoint);
-        assert!(engine.engine().lane_chunkable(&k));
+        // The bound covers an actual launch.
+        let mut mem = GpuMemory::new(1024);
+        let stats = engine.launch(&k, 1, &[0], &mut mem).expect("runs");
+        let busy = stats.cycles - engine.engine().config().dispatch_overhead;
+        assert!(busy <= bound, "{busy} cycles exceed the bound {bound}");
     }
 
     #[test]
-    fn unbounded_kernels_get_a_warning_and_no_attestation() {
+    fn unbounded_kernels_get_a_warning_and_no_bound() {
         let spin = assemble("spin:\ns_branch spin\ns_endpgm").unwrap();
         let mut engine = VerifiedEngine::new(Engine::new(EngineConfig::miaow()));
         let report = engine.verify(&spin, 0);
@@ -606,7 +554,6 @@ mod tests {
             report.cycle_bound,
             Some(CycleBound::Unbounded { .. })
         ));
-        assert!(engine.engine().attestation(spin.fingerprint()).is_none());
     }
 
     #[test]

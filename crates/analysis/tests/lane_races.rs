@@ -5,8 +5,9 @@
 //! of active lanes whose wide-store writes overlap with differing
 //! contents. These tests tie it to the static analysis both ways:
 //!
-//! - a kernel certified `Disjoint` never logs a race, on any engine
-//!   tier — including the full shipped ELM/LSTM inference workload;
+//! - a kernel certified `Disjoint` never logs a race — including the
+//!   full shipped ELM/LSTM inference workload on the profiling engine
+//!   and on the trimmed ML-MIAOW engine;
 //! - a kernel the analysis flags `MayInterfere` for a real cross-lane
 //!   conflict actually exhibits one at runtime, so the checker is not
 //!   vacuous.
@@ -15,13 +16,13 @@
 use rtad_analysis::{cycle_bound, lane_disjointness, CycleBound, LaneDisjointness};
 use rtad_miaow::asm::assemble;
 use rtad_miaow::exec::CostModel;
-use rtad_miaow::{Engine, EngineConfig, GpuMemory, KernelAttestation, TrimPlan};
+use rtad_miaow::{Engine, EngineConfig, GpuMemory, TrimPlan};
 use rtad_ml::{DeviceModel, Elm, ElmConfig, ElmDevice, Lstm, LstmConfig, LstmDevice};
 
 #[test]
 fn disjoint_certificate_means_no_observed_races() {
     // Lane-indexed store: certified disjoint, and the dynamic checker
-    // agrees on the tier-1 interpreter path.
+    // agrees.
     let k = assemble(
         "v_lshl_b32 v1, v0, 2\n\
          v_cvt_f32_i32 v2, v0\n\
@@ -106,12 +107,8 @@ fn lds_races_are_logged_with_the_lds_flag() {
     assert!(races.iter().all(|r| r.lds && r.addr == 32));
 }
 
-/// The full shipped workload — ELM and LSTM inference on the trimmed
-/// tier-2 engine (superblock macro-op stores) plus the LDS loader — runs
-/// race-free, dynamically validating every `Disjoint` certificate the
-/// verifier smoke test proves statically.
-#[test]
-fn shipped_inference_workload_runs_race_free_on_both_tiers() {
+/// The shipped ELM and LSTM models, trained small.
+fn shipped_models() -> (ElmDevice, LstmDevice) {
     let normal: Vec<Vec<f32>> = (0..100)
         .map(|i| {
             let mut v = vec![0.0; 16];
@@ -125,8 +122,18 @@ fn shipped_inference_workload_runs_race_free_on_both_tiers() {
     let mut cfg = LstmConfig::rtad();
     cfg.epochs = 1;
     let lstm = LstmDevice::compile(&Lstm::train(&cfg, &corpus, 5));
+    (elm, lstm)
+}
 
-    // Tier-1 profiling engine.
+/// The full shipped workload — ELM and LSTM inference on the profiling
+/// engine and on the trimmed ML-MIAOW engine, plus the LDS loader —
+/// runs race-free, dynamically validating every `Disjoint` certificate
+/// the verifier smoke test proves statically.
+#[test]
+fn shipped_inference_workload_runs_race_free() {
+    let (elm, lstm) = shipped_models();
+
+    // Profiling engine.
     let mut profiler = Engine::new(EngineConfig::miaow());
     profiler.set_race_logging(true);
     let mut mem = elm.load(&mut profiler);
@@ -135,10 +142,10 @@ fn shipped_inference_workload_runs_race_free_on_both_tiers() {
     let mut mem = lstm.load(&mut profiler);
     lstm.reset(&mut mem);
     lstm.step(&mut profiler, &mut mem, 3).expect("LSTM steps");
-    assert_eq!(profiler.take_races(), vec![], "tier-1 workload raced");
+    assert_eq!(profiler.take_races(), vec![], "profiling workload raced");
     let plan = TrimPlan::from_coverage(profiler.observed_coverage());
 
-    // Tier-2 trimmed serving engine (superblock store arms).
+    // Trimmed five-CU serving engine.
     let mut serving = Engine::new(EngineConfig::ml_miaow(&plan));
     serving.set_race_logging(true);
     let mut mem = elm.load(&mut serving);
@@ -150,69 +157,39 @@ fn shipped_inference_workload_runs_race_free_on_both_tiers() {
         lstm.step(&mut serving, &mut mem, token)
             .expect("LSTM steps");
     }
-    assert_eq!(serving.take_races(), vec![], "tier-2 workload raced");
+    assert_eq!(serving.take_races(), vec![], "trimmed workload raced");
 }
 
-/// The certificate-gated fast paths under the race checker: every
-/// shipped kernel is attested with its *own* statically proven cycle
-/// bound and disjointness certificate, which arms chunked SIMD lane
-/// loops, uniform-load broadcasts and the tier-3 closed-form schedules
-/// (including the fused LSTM MAC loops). The full ELM + LSTM workload
-/// must log zero races on that path — the dynamic check the static
-/// certificates promise to make redundant.
+/// Every shipped kernel carries both resource certificates — a static
+/// cycle bound and lane disjointness — and a four-token LSTM run plus
+/// one ELM inference under the race checker logs no race: the dynamic
+/// check the disjointness certificates promise to make redundant.
 #[test]
-fn attested_chunked_workload_runs_race_free() {
-    let normal: Vec<Vec<f32>> = (0..100)
-        .map(|i| {
-            let mut v = vec![0.0; 16];
-            v[i % 4] = 0.6;
-            v[(i + 1) % 4] = 0.4;
-            v
-        })
-        .collect();
-    let elm = ElmDevice::compile(&Elm::train(&ElmConfig::rtad(), &normal, 11));
-    let corpus: Vec<u32> = (0..800).map(|i| (i % 16) as u32).collect();
-    let mut cfg = LstmConfig::rtad();
-    cfg.epochs = 1;
-    let lstm = LstmDevice::compile(&Lstm::train(&cfg, &corpus, 5));
-
-    // Coverage observation routes to the tier-1 interpreter, so turn
-    // it off: this engine is the serving configuration, where the
-    // attested fast paths actually arm.
-    let mut cfg = EngineConfig::miaow();
-    cfg.observe_coverage = false;
-    let mut engine = Engine::new(cfg);
-    engine.set_race_logging(true);
+fn certified_workload_runs_race_free() {
+    let (elm, lstm) = shipped_models();
     let cost = CostModel::default();
     for kernel in elm.kernels().into_iter().chain(lstm.kernels()) {
-        let CycleBound::Bounded(cycles) = cycle_bound(kernel, &cost, None) else {
-            panic!("`{}` lost its static cycle bound", kernel.name);
-        };
+        assert!(
+            matches!(cycle_bound(kernel, &cost, None), CycleBound::Bounded(_)),
+            "`{}` lost its static cycle bound",
+            kernel.name
+        );
         assert!(
             lane_disjointness(kernel).is_disjoint(),
             "`{}` lost its disjointness certificate",
             kernel.name
         );
-        engine.attest(
-            kernel.fingerprint(),
-            KernelAttestation {
-                max_wave_cycles: cycles,
-                lane_disjoint: true,
-            },
-        );
     }
 
+    let mut engine = Engine::new(EngineConfig::miaow());
+    engine.set_race_logging(true);
     let mut mem = elm.load(&mut engine);
     elm.infer(&mut engine, &mut mem, &[0.05; 16])
-        .expect("ELM infers attested");
+        .expect("ELM infers");
     let mut mem = lstm.load(&mut engine);
     lstm.reset(&mut mem);
     for token in [0u32, 5, 9, 12] {
         lstm.step(&mut engine, &mut mem, token).expect("LSTM steps");
     }
-    assert_eq!(engine.take_races(), vec![], "attested workload raced");
-    assert!(
-        engine.tier_census().tier3 > 0,
-        "attested workload never reached a tier-3 schedule"
-    );
+    assert_eq!(engine.take_races(), vec![], "certified workload raced");
 }

@@ -4,9 +4,9 @@
 //! This is the job the CI workflow runs (`cargo test --release -p
 //! rtad-analysis --test verifier_smoke`): it fails the build if any
 //! kernel a device model ships loses its finite cycle bound or its
-//! lane-disjointness certificate — i.e. if a kernel change would
-//! silently fall back to the default watchdog budget or drop out of
-//! lane-chunk eligibility.
+//! lane-disjointness certificate — i.e. if a kernel change would leave
+//! only the engine's watchdog to bound it, or let two of its lanes
+//! write the same bytes.
 
 use rtad_analysis::{analyze, cycle_bound, lane_disjointness, CycleBound, FindingKind};
 use rtad_miaow::exec::CostModel;

@@ -85,45 +85,6 @@ fn bench_inference(c: &mut Criterion) {
     group.finish();
 }
 
-/// The PR-5 tentpole comparison: the same trimmed ML-MIAOW inference
-/// with tier-2 superblock traces vs tier-1 per-instruction
-/// interpretation, selected by `observe_coverage`. Both paths are
-/// bit-identical in scores, memory and simulated cycles (pinned by
-/// `rtad-miaow`'s `superblock_equivalence` property tests); only host
-/// wall-clock differs.
-fn bench_superblocks(c: &mut Criterion) {
-    let (elm_dev, lstm_dev) = trained_devices();
-    let plan = profile_trim_plan(&elm_dev, &lstm_dev);
-
-    let mut group = c.benchmark_group("superblock_vs_interpreted");
-    for (tier, tier2) in [("interpreted", false), ("superblocks", true)] {
-        let mut config = EngineConfig::ml_miaow(&plan);
-        config.observe_coverage = !tier2;
-        group.bench_with_input(BenchmarkId::new("elm_infer", tier), &config, |b, config| {
-            let mut engine = Engine::new(config.clone());
-            assert_eq!(engine.uses_superblocks(), tier2);
-            let mut mem = elm_dev.load(&mut engine);
-            b.iter(|| {
-                elm_dev
-                    .infer(&mut engine, &mut mem, &[0.05; 16])
-                    .expect("runs")
-            });
-        });
-        group.bench_with_input(BenchmarkId::new("lstm_step", tier), &config, |b, config| {
-            let mut engine = Engine::new(config.clone());
-            assert_eq!(engine.uses_superblocks(), tier2);
-            let mut mem = lstm_dev.load(&mut engine);
-            lstm_dev.reset(&mut mem);
-            let mut t = 0u32;
-            b.iter(|| {
-                t = (t + 1) % 16;
-                lstm_dev.step(&mut engine, &mut mem, t).expect("runs")
-            });
-        });
-    }
-    group.finish();
-}
-
 fn bench_trim_flow(c: &mut Criterion) {
     let (elm_dev, lstm_dev) = trained_devices();
     c.bench_function("coverage_profile_and_trim", |b| {
@@ -169,7 +130,6 @@ fn bench_engine_scaling(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_inference,
-    bench_superblocks,
     bench_trim_flow,
     bench_engine_scaling
 );

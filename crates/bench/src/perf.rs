@@ -226,11 +226,12 @@ fn trained_devices(seed: u64) -> (ElmDevice, LstmDevice) {
 const COMPARISON_STREAMS: usize = 64;
 
 /// Timed trials per engine comparison (odd, so the median trial is one
-/// trial). The batched side's edge is ~6% of wall-clock, and on a
-/// 2-core host with both cores oversubscribed by other processes a
-/// single trial's speedup spreads by tens of percent; the median of 199
-/// paired trials still holds its sign there. A trial of the
-/// optimized simulator takes ~20 ms at `reps = 4`.
+/// trial). The batched side's edge is 1.3–3.4% of wall-clock on the
+/// interpreter (dev profile, 2-core host, idle or with both cores kept
+/// busy by two spin loops), and with both cores oversubscribed a single
+/// trial's speedup spreads by tens of percent; the median of 199 paired
+/// trials still holds its sign there. A trial of the optimized
+/// simulator takes ~40 ms at `reps = 4`.
 const COMPARISON_TRIALS: usize = 199;
 
 /// Distinct per-stream ELM inputs (identical inputs would let the

@@ -21,10 +21,7 @@ use std::fmt;
 use crate::coverage::{CoverageSet, Feature};
 use crate::isa::{Instr, Kernel, SSrc, VSrc, LDS_BYTES, WAVEFRONT_LANES};
 use crate::memory::GpuMemory;
-use crate::predecode::{
-    DotLoop, DotUniformSrc, LaneKind, LaneOp, MacroOp, POp, PredecodedKernel, SuperTrace,
-    Superblock, WaveSchedule, CORE_FEATURE_MASK, PS,
-};
+use crate::predecode::{PredecodedKernel, CORE_FEATURE_MASK};
 
 /// Per-instruction-class cycle costs (one CU, in ML-MIAOW/MIAOW's 50 MHz
 /// domain). MIAOW and ML-MIAOW share these — the paper: "ML-MIAOW and
@@ -276,119 +273,6 @@ impl WaveState {
             vcc: 0,
             exec: u16::MAX,
             pc: 0,
-        }
-    }
-}
-
-/// Materializes a pre-resolved vector operand as one register-file row
-/// (broadcasting scalars/immediates), so every lane loop below runs over
-/// plain `[u32; 16]` arrays with no per-lane operand dispatch.
-#[inline(always)]
-fn fetch(st: &WaveState, p: POp) -> [u32; WAVEFRONT_LANES] {
-    match p {
-        POp::V(r) => st.vgpr[usize::from(r)],
-        POp::S(r) => [st.sgpr[usize::from(r)]; WAVEFRONT_LANES],
-        POp::K(k) => [k; WAVEFRONT_LANES],
-    }
-}
-
-/// Lanes per iteration of the chunked lane loop: half a wavefront, so
-/// one op runs as two fixed-width chunk bodies the autovectorizer can
-/// lift to 8-wide SIMD (the `chunks_exact` idiom). Must divide
-/// [`WAVEFRONT_LANES`] so `chunks_exact` leaves no remainder.
-pub(crate) const LANE_CHUNK: usize = 8;
-
-/// Executes one fused lane op as a 16-wide loop. `FULL` is the
-/// exec-mask fast path: with all lanes active the loop is unmasked and
-/// branch-free, which is what lets the compiler vectorize it. Inactive
-/// lanes never get written either way; computing a discarded lane value
-/// has no architectural effect, so results are bit-identical to the
-/// interpreter's per-lane `active()` gating.
-///
-/// `CHUNKED` (only meaningful with `FULL`) additionally runs the body
-/// over [`LANE_CHUNK`]-wide `chunks_exact` sub-arrays whose bounds are
-/// compile-time constants — the shape LLVM reliably lifts to packed
-/// SIMD. It is certificate-gated: the engine only enables it for
-/// kernels `rtad-analysis` proved lane-disjoint, so the reordering
-/// freedom the chunks assume is attested, not hoped for. Lane math is
-/// unchanged (same ops, same per-lane operands, no reassociation), so
-/// results stay bit-identical.
-#[inline(always)]
-fn lane_op<const FULL: bool, const CHUNKED: bool>(st: &mut WaveState, op: &LaneOp) {
-    let exec = st.exec;
-    let vcc = st.vcc;
-    let a = fetch(st, op.a);
-    let b = fetch(st, op.b);
-    let d = &mut st.vgpr[usize::from(op.dst)];
-    macro_rules! map {
-        (|$x:ident, $y:ident, $o:ident| $body:expr) => {
-            if CHUNKED && FULL {
-                for ((ca, cb), cd) in a
-                    .chunks_exact(LANE_CHUNK)
-                    .zip(b.chunks_exact(LANE_CHUNK))
-                    .zip(d.chunks_exact_mut(LANE_CHUNK))
-                {
-                    for i in 0..LANE_CHUNK {
-                        let ($x, $y, $o) = (ca[i], cb[i], cd[i]);
-                        cd[i] = $body;
-                    }
-                }
-            } else {
-                for i in 0..WAVEFRONT_LANES {
-                    if FULL || exec & (1 << i) != 0 {
-                        let ($x, $y, $o) = (a[i], b[i], d[i]);
-                        d[i] = $body;
-                    }
-                }
-            }
-        };
-    }
-    match op.kind {
-        LaneKind::Mov => map!(|x, _y, _o| x),
-        LaneKind::AddF => map!(|x, y, _o| (f32::from_bits(x) + f32::from_bits(y)).to_bits()),
-        LaneKind::SubF => map!(|x, y, _o| (f32::from_bits(x) - f32::from_bits(y)).to_bits()),
-        LaneKind::MulF => map!(|x, y, _o| (f32::from_bits(x) * f32::from_bits(y)).to_bits()),
-        LaneKind::MacF => map!(|x, y, o| {
-            (f32::from_bits(o) + f32::from_bits(x) * f32::from_bits(y)).to_bits()
-        }),
-        LaneKind::MaxF => map!(|x, y, _o| f32::from_bits(x).max(f32::from_bits(y)).to_bits()),
-        LaneKind::MinF => map!(|x, y, _o| f32::from_bits(x).min(f32::from_bits(y)).to_bits()),
-        LaneKind::ExpF => map!(|x, _y, _o| f32::from_bits(x).exp().to_bits()),
-        LaneKind::RcpF => map!(|x, _y, _o| (1.0 / f32::from_bits(x)).to_bits()),
-        LaneKind::LogF => map!(|x, _y, _o| f32::from_bits(x).ln().to_bits()),
-        LaneKind::AddI => map!(|x, y, _o| (x as i32).wrapping_add(y as i32) as u32),
-        LaneKind::MulI => map!(|x, y, _o| (x as i32).wrapping_mul(y as i32) as u32),
-        LaneKind::And => map!(|x, y, _o| x & y),
-        LaneKind::Lshl => map!(|x, y, _o| x << (y & 31)),
-        LaneKind::CvtF32I32 => map!(|x, _y, _o| ((x as i32) as f32).to_bits()),
-        LaneKind::CvtI32F32 => map!(|x, _y, _o| (f32::from_bits(x) as i32) as u32),
-        LaneKind::Cndmask => {
-            for i in 0..WAVEFRONT_LANES {
-                if FULL || exec & (1 << i) != 0 {
-                    d[i] = if vcc & (1 << i) != 0 { b[i] } else { a[i] };
-                }
-            }
-        }
-    }
-}
-
-/// Runs a fused lane group, hoisting the exec-mask and chunking checks
-/// out of the per-op loops. Partially-active waves always take the
-/// masked scalar path — the chunked bodies are unmasked by design.
-fn run_lanes(st: &mut WaveState, ops: &[LaneOp], chunked: bool) {
-    if st.exec == u16::MAX {
-        if chunked {
-            for op in ops {
-                lane_op::<true, true>(st, op);
-            }
-        } else {
-            for op in ops {
-                lane_op::<true, false>(st, op);
-            }
-        }
-    } else {
-        for op in ops {
-            lane_op::<false, false>(st, op);
         }
     }
 }
@@ -669,584 +553,6 @@ impl ComputeUnit {
                 }
             }
         }
-    }
-
-    /// The tier-2 hot loop: dispatches whole superblocks instead of
-    /// instructions. Bit-identical to [`ComputeUnit::run_wave_pre`] for
-    /// every kernel and fault kind (the property tests in
-    /// `tests/superblock_equivalence.rs` pin this):
-    ///
-    /// - A block only takes the fast path when
-    ///   `cycles + block.cost <= max_cycles`, which proves the tier-1
-    ///   watchdog (strict `>` after each instruction) cannot fire inside
-    ///   it; otherwise the wave single-steps with exact interpreter
-    ///   semantics.
-    /// - On a memory fault at block offset `rel`, the per-instruction
-    ///   coverage/cycle/instruction prefix **including the faulting
-    ///   instruction** is reconstructed from the tier-1 code, matching
-    ///   the interpreter's book-keep-before-execute ordering; partial
-    ///   lane stores of the faulting instruction are applied by the
-    ///   macro-op loop in the same lane order.
-    /// - Control flow and trimmed-feature trap sites are never inside a
-    ///   block, so branches, `s_endpgm` and traps always go through the
-    ///   single-step path.
-    pub(crate) fn run_wave_super(
-        &mut self,
-        pk: &PredecodedKernel,
-        sgpr_init: &[u32],
-        wave_index: usize,
-        max_cycles: u64,
-        chunked: bool,
-        mem: &mut GpuMemory,
-    ) -> WaveOutcome {
-        self.run_wave_super_impl::<false>(pk, sgpr_init, wave_index, max_cycles, chunked, mem)
-    }
-
-    /// Tier-2 launch path for kernels whose `max_cycles` is a *proven*
-    /// static cycle bound (an attested `rtad-analysis` certificate):
-    /// since no execution can exceed the bound, the per-block budget
-    /// gate and the single-step watchdog comparison are statically
-    /// always-pass / never-fire, and the monomorphized `PROVEN` variant
-    /// deletes both. Bit-identical to [`ComputeUnit::run_wave_super`]
-    /// under the same budget — the gates it removes could not have
-    /// changed control flow.
-    pub(crate) fn run_wave_super_proven(
-        &mut self,
-        pk: &PredecodedKernel,
-        sgpr_init: &[u32],
-        wave_index: usize,
-        max_cycles: u64,
-        chunked: bool,
-        mem: &mut GpuMemory,
-    ) -> WaveOutcome {
-        self.run_wave_super_impl::<true>(pk, sgpr_init, wave_index, max_cycles, chunked, mem)
-    }
-
-    /// The tier-3 closed-form path: executes a statically-resolved
-    /// superblock schedule with no per-iteration block lookup, branch
-    /// dispatch or incremental bookkeeping — the fault-free totals were
-    /// computed at lowering time and are charged in O(1). Only reached
-    /// for proven-bound kernels (tier-3 schedules never watchdog) whose
-    /// wave index has a schedule; bit-identical to the proven tier-2
-    /// path because the schedule *is* that path's block sequence and the
-    /// skipped single-stepped branches have no architectural effect
-    /// beyond `pc`. On a memory fault inside a block, the interpreter's
-    /// per-instruction prefix is reconstructed from the schedule's
-    /// pre-totals plus the tier-1 code, exactly as tier 2 does.
-    pub(crate) fn run_wave_tier3(
-        &mut self,
-        pk: &PredecodedKernel,
-        sched: &WaveSchedule,
-        sgpr_init: &[u32],
-        wave_index: usize,
-        chunked: bool,
-        mem: &mut GpuMemory,
-    ) -> WaveOutcome {
-        let trace = pk.trace.as_ref().expect("tier-3 schedules require a trace");
-        let mut st = WaveState::new(sgpr_init, wave_index);
-        let steps = &sched.steps;
-        // Fault inside a block at step `step`, `rel` instructions in:
-        // reconstruct the interpreter's exact per-instruction prefix
-        // from the schedule's pre-totals plus the tier-1 code.
-        let fault = |step_pre: (u64, u64, u64), b: &Superblock, rel: usize, e: ExecError| {
-            let (pre_cycles, pre_instructions, pre_mask) = step_pre;
-            let mut stats = RunStats {
-                cycles: pre_cycles,
-                instructions: pre_instructions,
-                waves: 1,
-            };
-            let mut covmask = pre_mask;
-            let s = b.start as usize;
-            for pre in &pk.code[s..=s + rel] {
-                covmask |= pre.mask;
-                stats.cycles += pre.cost;
-                stats.instructions += 1;
-            }
-            WaveOutcome {
-                stats,
-                covmask,
-                error: Some(e),
-            }
-        };
-        let mut i = 0usize;
-        while i < steps.len() {
-            let step = &steps[i];
-            let b = trace.blocks[step.block as usize];
-            // A run of identical blocks on a chunked launch with a full
-            // exec mask executes as one fused MAC loop when the block
-            // matched the dot-loop shape at lowering time. Bit-identical
-            // to running the block per step — the skipped single-stepped
-            // branches between repeats have no architectural effect.
-            if chunked && st.exec == u16::MAX {
-                if let Some(dl) = trace
-                    .dot_loops
-                    .get(step.block as usize)
-                    .and_then(Option::as_ref)
-                {
-                    let mut n = 1usize;
-                    while i + n < steps.len() && steps[i + n].block == step.block {
-                        n += 1;
-                    }
-                    match self.run_dot_loop(dl, b.start as usize, &mut st, n, mem) {
-                        Ok(()) => {
-                            i += n;
-                            continue;
-                        }
-                        Err((j, rel, e)) => {
-                            let sj = &steps[i + j];
-                            return fault(
-                                (sj.pre_cycles, sj.pre_instructions, sj.pre_mask),
-                                &b,
-                                rel,
-                                e,
-                            );
-                        }
-                    }
-                }
-            }
-            if let Err((rel, e)) = self.run_block(trace, &b, &mut st, chunked, mem) {
-                return fault(
-                    (step.pre_cycles, step.pre_instructions, step.pre_mask),
-                    &b,
-                    rel,
-                    e,
-                );
-            }
-            i += 1;
-        }
-        WaveOutcome {
-            stats: RunStats {
-                cycles: sched.cycles,
-                instructions: sched.instructions,
-                waves: 1,
-            },
-            covmask: sched.mask,
-            error: None,
-        }
-    }
-
-    /// Executes `reps` back-to-back runs of one fused counted MAC-loop
-    /// block ([`DotLoop`]) — the tier-3 execution of a schedule run of
-    /// identical blocks — as a single monomorphic loop with no per-op
-    /// dispatch. Only called with a full exec mask on a chunked
-    /// (lane-disjointness-attested) launch; the body writes no exec,
-    /// `vcc` or memory, so the mask stays full across iterations. Every
-    /// register update, wrapping-i32 add, lane order, fault address/pc
-    /// and partial-write prefix mirrors [`ComputeUnit::run_block`]
-    /// exactly. On a load fault, returns the faulting iteration, the
-    /// op's instruction offset in the block and the error.
-    fn run_dot_loop(
-        &self,
-        dl: &DotLoop,
-        block_base: usize,
-        st: &mut WaveState,
-        reps: usize,
-        mem: &GpuMemory,
-    ) -> Result<(), (usize, usize, ExecError)> {
-        let (mov_dst, mov_src) = dl.mov;
-        let (ul_dst, _, ul_src, ul_rel) = dl.uload;
-        let (oa_dst, oa_a, oa_b) = dl.oadd;
-        let (sr_dst, sr_rel) = dl.sread;
-        let (acc, mac_a, mac_b) = dl.mac;
-        let sval = |st: &WaveState, p: PS| -> u32 {
-            match p {
-                PS::S(r) => st.sgpr[usize::from(r)],
-                PS::K(k) => k,
-            }
-        };
-        for j in 0..reps {
-            if let Some((dst, a, b)) = dl.pre {
-                st.sgpr[usize::from(dst)] =
-                    (sval(st, a) as i32).wrapping_add(sval(st, b) as i32) as u32;
-            }
-            // `v_mov_b32`: broadcast the uniform address.
-            let ua = st.sgpr[usize::from(mov_src)];
-            st.vgpr[usize::from(mov_dst)] = [ua; WAVEFRONT_LANES];
-            // Uniform load, on the same certificate-gated broadcast
-            // fast path `run_block` takes (the address row is a
-            // just-written broadcast, so uniformity holds statically).
-            let uval = match ul_src {
-                DotUniformSrc::Lds => self
-                    .lds_read(u64::from(ua), block_base + ul_rel as usize)
-                    .map_err(|e| (j, ul_rel as usize, e))?,
-                DotUniformSrc::Buf { sbase } => {
-                    let addr = u64::from(st.sgpr[usize::from(sbase)]) + u64::from(ua);
-                    if !mem.contains(addr as usize) {
-                        return Err((
-                            j,
-                            ul_rel as usize,
-                            ExecError::BadAddress {
-                                addr,
-                                pc: block_base + ul_rel as usize,
-                            },
-                        ));
-                    }
-                    mem.read_u32(addr as usize)
-                }
-            };
-            st.vgpr[usize::from(ul_dst)] = [uval; WAVEFRONT_LANES];
-            // `v_add_i32`: the per-lane gather addresses.
-            let a = fetch(st, oa_a);
-            let b = fetch(st, oa_b);
-            let mut arow = [0u32; WAVEFRONT_LANES];
-            for i in 0..WAVEFRONT_LANES {
-                arow[i] = (a[i] as i32).wrapping_add(b[i] as i32) as u32;
-            }
-            st.vgpr[usize::from(oa_dst)] = arow;
-            // Strided `ds_read_b32`, lane-ordered like the interpreter
-            // (partial writes before a faulting lane land exactly as
-            // the per-lane loop's would).
-            for (i, &lane_addr) in arow.iter().enumerate() {
-                let v = self
-                    .lds_read(u64::from(lane_addr), block_base + sr_rel as usize)
-                    .map_err(|e| (j, sr_rel as usize, e))?;
-                st.vgpr[usize::from(sr_dst)][i] = v;
-            }
-            // `v_mac_f32` over the full wavefront.
-            let a = st.vgpr[usize::from(mac_a)];
-            let b = st.vgpr[usize::from(mac_b)];
-            let d = &mut st.vgpr[usize::from(acc)];
-            for i in 0..WAVEFRONT_LANES {
-                d[i] =
-                    (f32::from_bits(d[i]) + f32::from_bits(a[i]) * f32::from_bits(b[i])).to_bits();
-            }
-            // Offset/counter bumps and the loop condition.
-            for &(dst, pa, pb) in &dl.post {
-                st.sgpr[usize::from(dst)] =
-                    (sval(st, pa) as i32).wrapping_add(sval(st, pb) as i32) as u32;
-            }
-            let (ca, cb) = dl.cmp;
-            st.scc = (sval(st, ca) as i32) < (sval(st, cb) as i32);
-        }
-        Ok(())
-    }
-
-    fn run_wave_super_impl<const PROVEN: bool>(
-        &mut self,
-        pk: &PredecodedKernel,
-        sgpr_init: &[u32],
-        wave_index: usize,
-        max_cycles: u64,
-        chunked: bool,
-        mem: &mut GpuMemory,
-    ) -> WaveOutcome {
-        let Some(trace) = pk.trace.as_ref() else {
-            return self.run_wave_pre(pk, sgpr_init, wave_index, max_cycles, mem);
-        };
-        let mut st = WaveState::new(sgpr_init, wave_index);
-        let mut stats = RunStats {
-            waves: 1,
-            ..RunStats::default()
-        };
-        let mut covmask = 0u64;
-        let fail = |stats, covmask, error| WaveOutcome {
-            stats,
-            covmask,
-            error: Some(error),
-        };
-
-        loop {
-            let bi = trace.block_at[st.pc];
-            if bi != 0 {
-                let b = trace.blocks[bi as usize - 1];
-                if PROVEN || stats.cycles + b.cost <= max_cycles {
-                    match self.run_block(trace, &b, &mut st, chunked, mem) {
-                        Ok(()) => {
-                            covmask |= b.mask;
-                            stats.cycles += b.cost;
-                            stats.instructions += u64::from(b.len);
-                            st.pc = (b.start + b.len) as usize;
-                            continue;
-                        }
-                        Err((rel, e)) => {
-                            let s = b.start as usize;
-                            for pre in &pk.code[s..=s + rel] {
-                                covmask |= pre.mask;
-                                stats.cycles += pre.cost;
-                                stats.instructions += 1;
-                            }
-                            return fail(stats, covmask, e);
-                        }
-                    }
-                }
-            }
-
-            // Single-step fallback: control flow, trap sites and
-            // watchdog-risk tails, with the interpreter's exact
-            // per-instruction ordering.
-            let pre = &pk.code[st.pc];
-            if let Some(trap) = pre.trap {
-                return fail(
-                    stats,
-                    covmask | trap.prior_mask,
-                    ExecError::TrimmedFeature {
-                        feature: trap.feature,
-                        pc: st.pc,
-                        mnemonic: pre.instr.mnemonic(),
-                    },
-                );
-            }
-            covmask |= pre.mask;
-            stats.cycles += pre.cost;
-            stats.instructions += 1;
-            if !PROVEN && stats.cycles > max_cycles {
-                return fail(
-                    stats,
-                    covmask,
-                    ExecError::Watchdog {
-                        cycles: stats.cycles,
-                    },
-                );
-            }
-
-            let next_pc = st.pc + 1;
-            match pre.instr {
-                Instr::SEndpgm => {
-                    return WaveOutcome {
-                        stats,
-                        covmask,
-                        error: None,
-                    }
-                }
-                Instr::SBranch { target } => st.pc = target,
-                Instr::SCbranchScc1 { target } => {
-                    st.pc = if st.scc { target } else { next_pc };
-                }
-                Instr::SCbranchScc0 { target } => {
-                    st.pc = if !st.scc { target } else { next_pc };
-                }
-                other => {
-                    if let Err(e) = self.exec_straightline(&other, &mut st, mem) {
-                        return fail(stats, covmask, e);
-                    }
-                    st.pc = next_pc;
-                }
-            }
-        }
-    }
-
-    /// Executes one superblock's macro-ops. On a memory fault, returns
-    /// the faulting instruction's offset within the block so the caller
-    /// can reconstruct the interpreter's bookkeeping prefix.
-    #[allow(clippy::too_many_lines)]
-    fn run_block(
-        &mut self,
-        trace: &SuperTrace,
-        b: &Superblock,
-        st: &mut WaveState,
-        chunked: bool,
-        mem: &mut GpuMemory,
-    ) -> Result<(), (usize, ExecError)> {
-        let base = b.start as usize;
-        let ops = &trace.ops[b.op_start as usize..(b.op_start + b.op_len) as usize];
-        let sv = |st: &WaveState, p: PS| -> u32 {
-            match p {
-                PS::S(r) => st.sgpr[usize::from(r)],
-                PS::K(k) => k,
-            }
-        };
-        for op in ops {
-            match *op {
-                MacroOp::Lanes { start, n } => {
-                    run_lanes(
-                        st,
-                        &trace.lane_ops[start as usize..(start + n) as usize],
-                        chunked,
-                    );
-                }
-                MacroOp::SMov { dst, src } => st.sgpr[usize::from(dst)] = sv(st, src),
-                MacroOp::SAddI { dst, a, b } => {
-                    st.sgpr[usize::from(dst)] =
-                        (sv(st, a) as i32).wrapping_add(sv(st, b) as i32) as u32;
-                }
-                MacroOp::SSubI { dst, a, b } => {
-                    st.sgpr[usize::from(dst)] =
-                        (sv(st, a) as i32).wrapping_sub(sv(st, b) as i32) as u32;
-                }
-                MacroOp::SMulI { dst, a, b } => {
-                    st.sgpr[usize::from(dst)] =
-                        (sv(st, a) as i32).wrapping_mul(sv(st, b) as i32) as u32;
-                }
-                MacroOp::SAndB { dst, a, b } => {
-                    st.sgpr[usize::from(dst)] = sv(st, a) & sv(st, b);
-                }
-                MacroOp::SLshl { dst, a, shift } => {
-                    st.sgpr[usize::from(dst)] = sv(st, a) << (sv(st, shift) & 31);
-                }
-                MacroOp::SCmpLt { a, b } => st.scc = (sv(st, a) as i32) < (sv(st, b) as i32),
-                MacroOp::SCmpEq { a, b } => st.scc = sv(st, a) == sv(st, b),
-                MacroOp::SNop => {}
-                MacroOp::SLoad {
-                    dst,
-                    base: sbase,
-                    offset,
-                    rel,
-                } => {
-                    let addr = u64::from(st.sgpr[usize::from(sbase)]) + u64::from(offset);
-                    if !mem.contains(addr as usize) {
-                        return Err((
-                            rel as usize,
-                            ExecError::BadAddress {
-                                addr,
-                                pc: base + rel as usize,
-                            },
-                        ));
-                    }
-                    st.sgpr[usize::from(dst)] = mem.read_u32(addr as usize);
-                }
-                MacroOp::AndExecVcc => st.exec &= st.vcc,
-                MacroOp::MovExecAll => st.exec = u16::MAX,
-                MacroOp::VCmpGt { a, b } => {
-                    let av = fetch(st, a);
-                    let bv = st.vgpr[usize::from(b)];
-                    let mut vcc = 0u16;
-                    for i in 0..WAVEFRONT_LANES {
-                        if st.exec & (1 << i) != 0 && f32::from_bits(av[i]) > f32::from_bits(bv[i])
-                        {
-                            vcc |= 1 << i;
-                        }
-                    }
-                    st.vcc = vcc;
-                }
-                MacroOp::VCmpLt { a, b } => {
-                    let av = fetch(st, a);
-                    let bv = st.vgpr[usize::from(b)];
-                    let mut vcc = 0u16;
-                    for i in 0..WAVEFRONT_LANES {
-                        if st.exec & (1 << i) != 0 && f32::from_bits(av[i]) < f32::from_bits(bv[i])
-                        {
-                            vcc |= 1 << i;
-                        }
-                    }
-                    st.vcc = vcc;
-                }
-                MacroOp::Readlane { dst, src, lane } => {
-                    st.sgpr[usize::from(dst)] =
-                        st.vgpr[usize::from(src)][usize::from(lane) % WAVEFRONT_LANES];
-                }
-                MacroOp::Writelane { dst, src, lane } => {
-                    let v = sv(st, src);
-                    st.vgpr[usize::from(dst)][usize::from(lane) % WAVEFRONT_LANES] = v;
-                }
-                MacroOp::BufLoad {
-                    dst,
-                    vaddr,
-                    sbase,
-                    rel,
-                } => {
-                    let base_addr = u64::from(st.sgpr[usize::from(sbase)]);
-                    // Uniform-address broadcast (certificate-gated like
-                    // the chunked lane loops): when every active lane
-                    // reads the same address — the model kernels' inner
-                    // loops broadcast a scalar counter into `vaddr` —
-                    // one bounds check + read replaces 16. Bit-identical
-                    // incl. faults: lane 0 would fault first with the
-                    // same address/pc, and every lane loads one value.
-                    let row = st.vgpr[usize::from(vaddr)];
-                    if chunked && st.exec == u16::MAX && row.iter().all(|&v| v == row[0]) {
-                        let addr = base_addr + u64::from(row[0]);
-                        if !mem.contains(addr as usize) {
-                            return Err((
-                                rel as usize,
-                                ExecError::BadAddress {
-                                    addr,
-                                    pc: base + rel as usize,
-                                },
-                            ));
-                        }
-                        st.vgpr[usize::from(dst)] = [mem.read_u32(addr as usize); WAVEFRONT_LANES];
-                    } else {
-                        for (lane, &lane_off) in row.iter().enumerate() {
-                            if st.exec & (1 << lane) != 0 {
-                                let addr = base_addr + u64::from(lane_off);
-                                if !mem.contains(addr as usize) {
-                                    return Err((
-                                        rel as usize,
-                                        ExecError::BadAddress {
-                                            addr,
-                                            pc: base + rel as usize,
-                                        },
-                                    ));
-                                }
-                                st.vgpr[usize::from(dst)][lane] = mem.read_u32(addr as usize);
-                            }
-                        }
-                    }
-                }
-                MacroOp::BufStore {
-                    src,
-                    vaddr,
-                    sbase,
-                    rel,
-                } => {
-                    let base_addr = u64::from(st.sgpr[usize::from(sbase)]);
-                    #[cfg(debug_assertions)]
-                    let mut writes = [None; WAVEFRONT_LANES];
-                    #[allow(clippy::needless_range_loop)] // `writes` is debug-only race-log state
-                    for lane in 0..WAVEFRONT_LANES {
-                        if st.exec & (1 << lane) != 0 {
-                            let addr = base_addr + u64::from(st.vgpr[usize::from(vaddr)][lane]);
-                            if !mem.contains(addr as usize) {
-                                return Err((
-                                    rel as usize,
-                                    ExecError::BadAddress {
-                                        addr,
-                                        pc: base + rel as usize,
-                                    },
-                                ));
-                            }
-                            let v = st.vgpr[usize::from(src)][lane];
-                            mem.write_u32(addr as usize, v);
-                            #[cfg(debug_assertions)]
-                            {
-                                writes[lane] = Some((addr, v));
-                            }
-                        }
-                    }
-                    #[cfg(debug_assertions)]
-                    self.log_wide_store(base + rel as usize, &writes, false);
-                }
-                MacroOp::LdsRead { dst, addr, rel } => {
-                    // Uniform-address broadcast: see `BufLoad` above.
-                    let row = st.vgpr[usize::from(addr)];
-                    if chunked && st.exec == u16::MAX && row.iter().all(|&v| v == row[0]) {
-                        let v = self
-                            .lds_read(u64::from(row[0]), base + rel as usize)
-                            .map_err(|e| (rel as usize, e))?;
-                        st.vgpr[usize::from(dst)] = [v; WAVEFRONT_LANES];
-                    } else {
-                        for (lane, &lane_addr) in row.iter().enumerate() {
-                            if st.exec & (1 << lane) != 0 {
-                                let v = self
-                                    .lds_read(u64::from(lane_addr), base + rel as usize)
-                                    .map_err(|e| (rel as usize, e))?;
-                                st.vgpr[usize::from(dst)][lane] = v;
-                            }
-                        }
-                    }
-                }
-                MacroOp::LdsWrite { addr, src, rel } => {
-                    #[cfg(debug_assertions)]
-                    let mut writes = [None; WAVEFRONT_LANES];
-                    #[allow(clippy::needless_range_loop)] // `writes` is debug-only race-log state
-                    for lane in 0..WAVEFRONT_LANES {
-                        if st.exec & (1 << lane) != 0 {
-                            let a = u64::from(st.vgpr[usize::from(addr)][lane]);
-                            let v = st.vgpr[usize::from(src)][lane];
-                            self.lds_write(a, v, base + rel as usize)
-                                .map_err(|e| (rel as usize, e))?;
-                            #[cfg(debug_assertions)]
-                            {
-                                writes[lane] = Some((a, v));
-                            }
-                        }
-                    }
-                    #[cfg(debug_assertions)]
-                    self.log_wide_store(base + rel as usize, &writes, true);
-                }
-            }
-        }
-        Ok(())
     }
 
     fn exec_straightline(

@@ -84,7 +84,7 @@ pub mod trim;
 pub use area::{variant_area, EngineVariant};
 pub use asm::{assemble, AssembleError};
 pub use coverage::{CoverageSet, Feature};
-pub use engine::{Engine, EngineConfig, KernelAttestation, LaunchStats, TierCensus};
+pub use engine::{Engine, EngineConfig, LaunchStats, TierCensus};
 #[cfg(debug_assertions)]
 pub use exec::LaneRace;
 pub use exec::{ComputeUnit, Dispatch, ExecError, RunStats};

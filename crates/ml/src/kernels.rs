@@ -404,7 +404,7 @@ impl ElmDevice {
             self.threshold.to_bits(),
         ];
         debug_assert_eq!(args.len(), ELM_LAUNCH_ARGS);
-        // One fused macro-op stream instead of three separate launches:
+        // One fused launch stream instead of three separate launches:
         // a single predecode-cache lookup covers the whole event.
         let stages = engine.launch_stream(
             &[
@@ -854,7 +854,7 @@ impl LstmDevice {
         let nll = f64::from(mem.read_f32(self.score_base));
 
         // Advance the recurrent state with the observed token; the
-        // gate/combine pair lowers to one fused macro-op stream.
+        // gate/combine pair is one fused launch stream.
         let advance_stages =
             engine.launch_stream(&[(&self.k_gates, 4), (&self.k_combine, 1)], &args, mem)?;
         cycles += advance_stages.iter().map(|s| s.cycles).sum::<u64>();
@@ -1128,7 +1128,6 @@ mod tests {
 
         let mut cfg = EngineConfig::miaow();
         cfg.cus = 5;
-        cfg.observe_coverage = false;
         let mut re = Engine::new(cfg.clone());
         let mut be = Engine::new(cfg);
 
