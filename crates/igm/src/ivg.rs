@@ -21,6 +21,7 @@
 //! The whole IVG takes 2 MLPU cycles (the paper's measured 16 ns).
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use serde::{Deserialize, Serialize};
 
@@ -29,10 +30,43 @@ use rtad_trace::VirtAddr;
 
 use crate::ta::DecodedAddress;
 
+/// Hasher of the address-mapper table: one multiply by a 64-bit odd
+/// constant, folded so the bucket index (low bits) and hashbrown's tag
+/// (top bits) both depend on every address bit.
+///
+/// It is not flood-resistant, and need not be: the table's keys are
+/// chosen by the deployer, and trace input only probes them. A probe
+/// cannot insert, so hostile trace cannot lengthen any probe sequence;
+/// the cost of a lookup is fixed by the deployed table alone.
+#[derive(Debug, Clone, Copy, Default)]
+struct AddrHasher(u64);
+
+/// 2^64 / φ, the Fibonacci-hashing multiplier.
+const FIB_MUL: u64 = 0x9E37_79B9_7F4A_7C15;
+
+impl Hasher for AddrHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u32(u32::from(b));
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        let x = (self.0 ^ u64::from(n)).wrapping_mul(FIB_MUL);
+        self.0 = x ^ (x >> 32);
+    }
+}
+
 /// The configurable lookup table: address → feature token.
 ///
 /// Addresses absent from the table are filtered out (never reach the ML
-/// model).
+/// model). Lookups hash the address with one multiply instead of
+/// SipHash: trace input only probes the deployer's keys, so no input
+/// can make a probe longer.
 ///
 /// # Examples
 ///
@@ -47,14 +81,14 @@ use crate::ta::DecodedAddress;
 /// ```
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct AddressMapper {
-    table: HashMap<VirtAddr, u32>,
+    table: HashMap<VirtAddr, u32, BuildHasherDefault<AddrHasher>>,
 }
 
 impl AddressMapper {
     /// Builds a table assigning consecutive tokens to `targets` in
     /// iteration order. Duplicate addresses keep their first token.
     pub fn from_targets<I: IntoIterator<Item = VirtAddr>>(targets: I) -> Self {
-        let mut table = HashMap::new();
+        let mut table = HashMap::default();
         let mut next = 0u32;
         for a in targets {
             table.entry(a).or_insert_with(|| {
@@ -72,7 +106,7 @@ impl AddressMapper {
     /// a gadget canary) onto a single model input. Duplicate addresses
     /// keep their first token.
     pub fn from_entries<I: IntoIterator<Item = (VirtAddr, u32)>>(entries: I) -> Self {
-        let mut table = HashMap::new();
+        let mut table = HashMap::default();
         for (a, t) in entries {
             table.entry(a).or_insert(t);
         }

@@ -25,8 +25,8 @@
 
 use std::mem::size_of;
 
-use rtad_trace::ptm::{Packet, PacketDecoder};
-use rtad_trace::tpiu::{TpiuDeframer, TraceId, FRAME_BYTES};
+use rtad_trace::ptm::{Decoded, PacketDecoder};
+use rtad_trace::tpiu::{TpiuDeframer, FRAME_BYTES};
 use rtad_trace::{BranchRecord, VirtAddr};
 
 use crate::ivg::{AddressMapper, VectorEncoder, VectorPayload};
@@ -103,11 +103,10 @@ impl IgmShared {
             decoder: PacketDecoder::new(),
             context_id: 0,
             encoder: VectorEncoder::new(self.format, self.vocab),
-            pending: Vec::with_capacity(FRAME_BYTES),
+            carry: [0; 3],
+            carry_len: 0,
             frame_buf: [0u8; FRAME_BYTES],
             frame_fill: 0,
-            burst: Vec::with_capacity(8),
-            deframe_buf: Vec::with_capacity(FRAME_BYTES),
             pool: Vec::new(),
             stats: StreamingStats::default(),
         }
@@ -157,25 +156,25 @@ pub struct IgmSession {
     /// Per-stream encoder state (the histogram window is stream
     /// history, so it cannot be shared).
     encoder: VectorEncoder,
-    /// Bytes awaiting 4-byte word grouping (the TA's lane buffer — word
-    /// boundaries decide which *burst* an address belongs to, and burst
-    /// boundaries decide P2S truncation, so they must match the timed
-    /// path).
-    pending: Vec<u8>,
+    /// Bytes of an incomplete 4-byte word awaiting the next frame (or
+    /// `finish`): the TA's lane buffer. Word boundaries decide which
+    /// *burst* an address belongs to, and burst boundaries decide P2S
+    /// truncation, so they must match the timed path.
+    carry: [u8; 3],
+    carry_len: usize,
     /// Partial TPIU frame from `push_bytes` chunks.
     frame_buf: [u8; FRAME_BYTES],
     frame_fill: usize,
-    /// Targets decoded from the current frame's completed words
-    /// (reused across frames to avoid per-frame allocation).
-    burst: Vec<(VirtAddr, u32)>,
-    /// Deframer output scratch (reused across frames).
-    deframe_buf: Vec<(TraceId, u8)>,
     /// Recycled dense-window buffers: consumers hand scored windows back
     /// via [`IgmSession::recycle`] so steady-state histogram emission
     /// allocates nothing.
     pool: Vec<Vec<f32>>,
     stats: StreamingStats,
 }
+
+/// Whole frames [`IgmSession::push_bytes`] deframes before decoding
+/// their bursts in one pass.
+const FRAMES_PER_PASS: usize = 8;
 
 /// Upper bound on recycled window buffers held per session; anything
 /// past this is dropped (recycling is an allocation optimization, never
@@ -203,9 +202,6 @@ impl IgmSession {
     /// [`IgmShared::resident_bytes`]).
     pub fn resident_bytes(&self) -> usize {
         size_of::<Self>()
-            + self.pending.capacity()
-            + self.burst.capacity() * size_of::<(VirtAddr, u32)>()
-            + self.deframe_buf.capacity() * size_of::<(TraceId, u8)>()
             + self.encoder.resident_heap_bytes()
             + self.pool.capacity() * size_of::<Vec<f32>>()
             + self
@@ -230,16 +226,16 @@ impl IgmSession {
             }
             self.frame_fill = 0;
             let frame = self.frame_buf;
-            self.push_frame(shared, &frame, out);
+            self.push_frames(shared, &frame, out);
         }
-        // Aligned fast path: whole frames straight out of the chunk,
-        // no per-byte staging copy.
-        let mut frames = rest.chunks_exact(FRAME_BYTES);
-        for frame in frames.by_ref() {
-            let frame: &[u8; FRAME_BYTES] = frame.try_into().expect("chunk is frame-sized");
-            self.push_frame(shared, frame, out);
+        // Whole frames straight out of the chunk, not staged through
+        // `frame_buf`; each pass decodes several frames' bursts in one
+        // call.
+        let whole = rest.len() - rest.len() % FRAME_BYTES;
+        for pass in rest[..whole].chunks(FRAMES_PER_PASS * FRAME_BYTES) {
+            self.push_frames(shared, pass, out);
         }
-        let tail = frames.remainder();
+        let tail = &rest[whole..];
         self.frame_buf[..tail.len()].copy_from_slice(tail);
         self.frame_fill = tail.len();
     }
@@ -252,21 +248,7 @@ impl IgmSession {
         frame: &[u8; FRAME_BYTES],
         out: &mut Vec<StreamedVector>,
     ) {
-        self.deframe_buf.clear();
-        if self
-            .deframer
-            .feed_frame_into(frame, &mut self.deframe_buf)
-            .is_err()
-        {
-            return;
-        }
-        self.stats.frames += 1;
-        self.pending
-            .extend(self.deframe_buf.iter().map(|&(_, b)| b));
-        // Decode only completed 4-byte words; stragglers wait for the
-        // next frame (or `finish`), exactly like the TA's lane buffer.
-        let whole = self.pending.len() - self.pending.len() % 4;
-        self.decode_burst(shared, whole, out);
+        self.push_frames(shared, frame, out);
     }
 
     /// Flushes straggler bytes at end of stream: sub-word TA bytes
@@ -274,63 +256,90 @@ impl IgmSession {
     /// dropped — both exactly as the timed path does.
     pub fn finish(&mut self, shared: &IgmShared, out: &mut Vec<StreamedVector>) {
         self.frame_fill = 0;
-        let len = self.pending.len();
-        self.decode_burst(shared, len, out);
+        let (carry, n) = (self.carry, self.carry_len);
+        self.decode_bursts(shared, &carry[..n], &[n], out);
     }
 
-    /// Decodes the first `take` pending bytes as one TA burst, applies
-    /// the P2S admission bound, and encodes the survivors.
-    fn decode_burst(&mut self, shared: &IgmShared, take: usize, out: &mut Vec<StreamedVector>) {
-        self.burst.clear();
-        for &byte in &self.pending[..take] {
-            match self.decoder.feed(byte) {
-                Ok(Some(packet)) => {
-                    self.stats.packets += 1;
-                    match packet {
-                        Packet::Isync { context_id, .. } | Packet::ContextId(context_id) => {
-                            self.context_id = context_id;
-                        }
-                        Packet::BranchAddress { target, .. } => {
-                            self.stats.addresses += 1;
-                            if shared
-                                .context_filter
-                                .is_none_or(|ctx| ctx == self.context_id)
-                            {
-                                self.burst.push((target, self.context_id));
-                            } else {
-                                self.stats.filtered += 1;
-                            }
-                        }
-                        _ => {}
-                    }
-                }
-                Ok(None) => {}
-                Err(_) => {
-                    self.stats.decode_errors += 1;
-                }
+    /// Deframes up to [`FRAMES_PER_PASS`] whole frames behind the carried
+    /// bytes and decodes them in one pass. Each frame that deframes ends
+    /// a TA burst at its last completed word; a malformed frame is
+    /// dropped whole and ends none.
+    fn push_frames(&mut self, shared: &IgmShared, frames: &[u8], out: &mut Vec<StreamedVector>) {
+        let mut bytes = [0u8; 3 + FRAMES_PER_PASS * (FRAME_BYTES - 1)];
+        let mut len = self.carry_len;
+        bytes[..len].copy_from_slice(&self.carry[..len]);
+        let mut ends = [0; FRAMES_PER_PASS];
+        let mut n = 0;
+        for frame in frames.chunks_exact(FRAME_BYTES) {
+            let frame = frame.try_into().expect("chunk is frame-sized");
+            let data = (&mut bytes[len..len + FRAME_BYTES - 1])
+                .try_into()
+                .expect("room for one frame");
+            if let Ok(k) = self.deframer.feed_frame_bytes(frame, data) {
+                self.stats.frames += 1;
+                len += k;
+                ends[n] = len - len % 4;
+                n += 1;
             }
         }
-        self.pending.drain(..take);
+        self.decode_bursts(shared, &bytes[..len], &ends[..n], out);
+    }
 
+    /// Decodes `bytes` up to the last of the burst ends `ends` in one
+    /// pass, applying the P2S admission bound per burst and encoding the
+    /// survivors, and carries the rest (under a word) to the next pass.
+    fn decode_bursts(
+        &mut self,
+        shared: &IgmShared,
+        bytes: &[u8],
+        ends: &[usize],
+        out: &mut Vec<StreamedVector>,
+    ) {
+        let take = ends.last().copied().unwrap_or(0);
+        let packets_before = self.decoder.packets_decoded();
         // P2S admission: the FIFO is empty at every burst start (the
         // timed path drains it completely per burst), so only the first
-        // `depth` addresses of a burst survive.
-        let admitted = self.burst.len().min(shared.p2s_depth);
-        self.stats.p2s_dropped += (self.burst.len() - admitted) as u64;
-        for i in 0..admitted {
-            let (target, context_id) = self.burst[i];
-            match shared.mapper.map(target) {
-                None => self.stats.filtered += 1,
-                Some(token) => {
-                    self.stats.accepted += 1;
-                    out.push(StreamedVector {
-                        target,
-                        context_id,
-                        payload: self.encoder.encode_pooled(token, &mut self.pool),
-                    });
+        // `depth` addresses of a burst that pass the context filter
+        // survive. An address belongs to the burst holding the byte
+        // that completed it.
+        let (mut burst, mut admitted) = (0, 0);
+        let stats = &mut self.stats;
+        let context_id = &mut self.context_id;
+        let (encoder, pool) = (&mut self.encoder, &mut self.pool);
+        self.decoder
+            .feed_slice(&bytes[..take], |at, event| match event {
+                Decoded::Branch { target, .. } => {
+                    stats.addresses += 1;
+                    while at >= ends[burst] {
+                        burst += 1;
+                        admitted = 0;
+                    }
+                    if shared.context_filter.is_some_and(|ctx| ctx != *context_id) {
+                        stats.filtered += 1;
+                    } else if admitted == shared.p2s_depth {
+                        stats.p2s_dropped += 1;
+                    } else {
+                        admitted += 1;
+                        match shared.mapper.map(target) {
+                            None => stats.filtered += 1,
+                            Some(token) => {
+                                stats.accepted += 1;
+                                out.push(StreamedVector {
+                                    target,
+                                    context_id: *context_id,
+                                    payload: encoder.encode_pooled(token, pool),
+                                });
+                            }
+                        }
+                    }
                 }
-            }
-        }
+                Decoded::Context(ctx) => *context_id = ctx,
+                Decoded::Error(_) => stats.decode_errors += 1,
+            });
+        self.stats.packets += self.decoder.packets_decoded() - packets_before;
+        let rest = &bytes[take..];
+        self.carry[..rest.len()].copy_from_slice(rest);
+        self.carry_len = rest.len();
     }
 }
 
@@ -504,6 +513,32 @@ mod tests {
         for chunk in [1usize, 3, 7, 16, 64, 1024] {
             assert_streaming_matches_timed(IgmConfig::token_stream(&targets), chunk);
         }
+    }
+
+    /// A shallow P2S FIFO truncates bursts: the streaming path must cut
+    /// each burst exactly where the timed path's FIFO does, however the
+    /// bytes are chunked (chunks of many frames decode their bursts in
+    /// one pass).
+    #[test]
+    fn p2s_truncation_matches_timed_path() {
+        let (_, targets) = run_with_targets(1);
+        for depth in [1, 2, 3] {
+            for chunk in [1usize, 16, 80, 1024] {
+                let mut config = IgmConfig::token_stream(&targets);
+                config.p2s_depth = depth;
+                assert_streaming_matches_timed(config, chunk);
+            }
+        }
+        let mut config = IgmConfig::token_stream(&targets);
+        config.p2s_depth = 2;
+        let (run, _) = run_with_targets(300);
+        let trace = StreamEncoder::new(PtmConfig::rtad()).encode_run(&run);
+        let bytes: Vec<u8> = trace.bytes.iter().map(|tb| tb.byte).collect();
+        let mut s = StreamingIgm::new(&config);
+        let mut got = Vec::new();
+        s.push_bytes(&bytes, &mut got);
+        s.finish(&mut got);
+        assert!(s.stats().p2s_dropped > 0, "depth 2 must truncate bursts");
     }
 
     #[test]

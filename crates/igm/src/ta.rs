@@ -8,14 +8,17 @@
 //! responsible for each byte decoding." (§III-A)
 //!
 //! In RTL the four units form a combinational chain so a whole 32-bit
-//! word decodes in one cycle; here each unit advances the shared packet
-//! state machine by one byte, and the analyzer accounts one MLPU cycle
-//! per word. The packet state machine is the *same* one as the reference
-//! decoder in [`rtad_trace::ptm`], which is exactly the verification
-//! story the design needs: hardware TA output ≡ reference decode.
+//! word decodes in one cycle. Here each word goes to the reference
+//! decoder of [`rtad_trace::ptm`] as one burst
+//! ([`PacketDecoder::feed_slice`]); the byte offset at which a packet
+//! completes names the unit that completed it, and the analyzer accounts
+//! one MLPU cycle per word. The packet state machine is the *same* one
+//! the serving path and the byte-wise reference use, which is exactly
+//! the verification story the design needs: hardware TA output ≡
+//! reference decode.
 
 use rtad_sim::{AreaEstimate, ClockDomain, Picos};
-use rtad_trace::ptm::{DecodeError, Packet, PacketDecoder};
+use rtad_trace::ptm::{DecodeError, Decoded, PacketDecoder};
 use rtad_trace::tpiu::{DeframeError, TpiuDeframer, FRAME_BYTES};
 use rtad_trace::{IsetMode, VirtAddr};
 
@@ -113,79 +116,75 @@ impl TraceAnalyzer {
         frame: &[u8; FRAME_BYTES],
         at: Picos,
     ) -> Result<Vec<DecodedAddress>, TaError> {
-        let payload = self.deframer.feed_frame(frame).map_err(TaError::Deframe)?;
         // The TA only sees the PTM's bytes; the deframer has already
-        // dropped null padding and other sources.
-        self.lane_buffer.extend(payload.iter().map(|&(_, b)| b));
+        // dropped null padding.
+        let mut data = [0; FRAME_BYTES - 1];
+        let n = self
+            .deframer
+            .feed_frame_bytes(frame, &mut data)
+            .map_err(TaError::Deframe)?;
+        self.lane_buffer.extend_from_slice(&data[..n]);
 
         let mut out = Vec::new();
         let mut word_time = self.clock.next_edge_at_or_after(at);
         let period = self.clock.freq().period();
 
-        while self.lane_buffer.len() >= 4 {
-            let word: Vec<u8> = self.lane_buffer.drain(..4).collect();
-            let addrs = self.decode_word(&word, word_time);
-            out.extend(addrs);
+        let whole = self.lane_buffer.len() - self.lane_buffer.len() % 4;
+        for k in (0..whole).step_by(4) {
+            let word: [u8; 4] = self.lane_buffer[k..k + 4].try_into().expect("four lanes");
+            self.decode_word(&word, word_time, &mut out);
             word_time += period;
         }
+        self.lane_buffer.drain(..whole);
         Ok(out)
     }
 
     /// Flushes any straggler bytes (fewer than a full word) at `at`.
     pub fn flush(&mut self, at: Picos) -> Vec<DecodedAddress> {
-        let word: Vec<u8> = self.lane_buffer.drain(..).collect();
-        if word.is_empty() {
-            return Vec::new();
-        }
-        let t = self.clock.next_edge_at_or_after(at);
-        self.decode_word(&word, t)
-    }
-
-    fn decode_word(&mut self, word: &[u8], at: Picos) -> Vec<DecodedAddress> {
-        self.stats.words += 1;
         let mut out = Vec::new();
-        for (lane, &byte) in word.iter().enumerate() {
-            self.stats.bytes += 1;
-            match self.decoder.feed(byte) {
-                Ok(Some(packet)) => {
-                    self.stats.packets += 1;
-                    self.note_context(&packet);
-                    if let Packet::BranchAddress {
-                        target,
-                        mode,
-                        exception,
-                    } = packet
-                    {
-                        self.stats.addresses += 1;
-                        out.push(DecodedAddress {
-                            target,
-                            mode,
-                            exception,
-                            context_id: self.context_id,
-                            // Address available at the end of the cycle.
-                            at: at + self.clock.freq().period(),
-                            unit: lane as u8,
-                        });
-                    }
-                }
-                Ok(None) => {}
-                Err(_e) => {
-                    self.stats.decode_errors += 1;
-                }
-            }
-        }
-        if out.len() > 1 {
-            self.stats.multi_address_words += 1;
+        let n = self.lane_buffer.len();
+        if n > 0 {
+            let mut word = [0u8; 4];
+            word[..n].copy_from_slice(&self.lane_buffer);
+            self.lane_buffer.clear();
+            let t = self.clock.next_edge_at_or_after(at);
+            self.decode_word(&word[..n], t, &mut out);
         }
         out
     }
 
-    fn note_context(&mut self, packet: &Packet) {
-        match packet {
-            Packet::Isync { context_id, .. } | Packet::ContextId(context_id) => {
-                self.context_id = *context_id;
+    /// Decodes one word (the last may be short) in the four byte units,
+    /// appending its addresses to `out`.
+    fn decode_word(&mut self, word: &[u8], at: Picos, out: &mut Vec<DecodedAddress>) {
+        self.stats.words += 1;
+        self.stats.bytes += word.len() as u64;
+        let packets_before = self.decoder.packets_decoded();
+        let first = out.len();
+        // Address available at the end of the cycle.
+        let done = at + self.clock.freq().period();
+        let (stats, context_id) = (&mut self.stats, &mut self.context_id);
+        self.decoder.feed_slice(word, |lane, event| match event {
+            Decoded::Branch {
+                target,
+                mode,
+                exception,
+            } => {
+                stats.addresses += 1;
+                out.push(DecodedAddress {
+                    target,
+                    mode,
+                    exception,
+                    context_id: *context_id,
+                    at: done,
+                    unit: lane as u8,
+                });
             }
-            _ => {}
+            Decoded::Context(ctx) => *context_id = ctx,
+            Decoded::Error(_) => stats.decode_errors += 1,
+        });
+        self.stats.packets += self.decoder.packets_decoded() - packets_before;
+        if out.len() - first > 1 {
+            self.stats.multi_address_words += 1;
         }
     }
 }
@@ -221,7 +220,7 @@ impl std::error::Error for TaError {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rtad_trace::ptm::PacketEncoder;
+    use rtad_trace::ptm::{Packet, PacketEncoder};
     use rtad_trace::tpiu::TpiuFormatter;
     use rtad_trace::TraceId;
 
@@ -302,6 +301,68 @@ mod tests {
         assert!(ta.stats().multi_address_words > 0);
         // Unit indices are per-lane.
         assert!(addrs.iter().all(|a| a.unit < 4));
+    }
+
+    /// Every address names the lane whose byte completed its packet and
+    /// leaves the TA one cycle after the word holding that byte starts,
+    /// exactly where a byte-wise reference decode of the same bytes
+    /// places it.
+    #[test]
+    fn units_and_word_times_follow_the_completing_byte() {
+        // Targets scattered so packets of every length end in every lane.
+        let mut packets = vec![Packet::Async];
+        packets.extend((0..300u32).map(|k| {
+            let spread = [0x40, 0x4000, 0x40_0000, 0x4000_0000][k as usize % 4];
+            Packet::branch(
+                VirtAddr::new((k.wrapping_mul(0x9E37_79B9) % spread) & !1),
+                IsetMode::Arm,
+            )
+        }));
+        let frames = frames_for(&packets);
+
+        let clock = ClockDomain::rtad_mlpu();
+        let arrival = |j: usize| clock.cycles_to_picos(8 * j as u64);
+        let mut ta = TraceAnalyzer::new(clock.clone());
+        let mut got = Vec::new();
+        for (j, f) in frames.iter().enumerate() {
+            got.extend(ta.feed_frame(f, arrival(j)).unwrap());
+        }
+
+        // Reference: the deframed bytes, decoded one at a time. Byte `k`
+        // sits in word `k / 4`, which the frame that completes it
+        // decodes `k / 4 - (words before that frame)` cycles after its
+        // arrival edge.
+        let mut deframer = TpiuDeframer::new();
+        let mut bytes = Vec::new();
+        let mut words_before = Vec::new();
+        for f in &frames {
+            words_before.push(bytes.len() / 4);
+            let mut data = [0; FRAME_BYTES - 1];
+            let n = deframer.feed_frame_bytes(f, &mut data).unwrap();
+            bytes.extend_from_slice(&data[..n]);
+        }
+        words_before.push(bytes.len() / 4);
+        let mut dec = PacketDecoder::new();
+        let mut want = Vec::new();
+        for (k, &b) in bytes.iter().enumerate() {
+            let Some(Packet::BranchAddress { target, .. }) = dec.feed(b).unwrap() else {
+                continue;
+            };
+            let word = k / 4;
+            if word >= words_before[frames.len()] {
+                continue; // a straggler word, left for `flush`
+            }
+            let j = words_before.iter().rposition(|&w| w <= word).unwrap();
+            let start = clock.next_edge_at_or_after(arrival(j));
+            let at = start + clock.cycles_to_picos((word - words_before[j]) as u64 + 1);
+            want.push((target, (k % 4) as u8, at));
+        }
+        let got: Vec<_> = got.iter().map(|a| (a.target, a.unit, a.at)).collect();
+        assert_eq!(got, want);
+        assert!(
+            (0..4).all(|u| got.iter().any(|g| g.1 == u)),
+            "every lane completes packets"
+        );
     }
 
     #[test]

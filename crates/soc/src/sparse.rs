@@ -51,7 +51,7 @@ use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::mem::size_of;
 
-use rtad_igm::{IgmSession, IgmShared, StreamedVector};
+use rtad_igm::{IgmSession, IgmShared, StreamedVector, StreamingStats};
 
 use crate::serve::{BatchFormer, ServeSpec, SparseOutcome};
 
@@ -540,6 +540,12 @@ impl SparsePipeline {
         self.dropped
             .iter()
             .fold(0u64, |acc, &d| acc.saturating_add(d))
+    }
+
+    /// Decode counters of `stream`'s IGM session (frames, packets,
+    /// decode errors, P2S drops, mapper accepts and filters).
+    pub fn session_stats(&self, stream: usize) -> StreamingStats {
+        self.sessions[stream].stats()
     }
 
     /// Free space in `stream`'s ingest ring. A lossless feeder checks

@@ -9,7 +9,8 @@
 //! * [`ptm`] — a PFT-style packet protocol: byte-oriented, with
 //!   differentially-compressed branch-address packets, atom (waypoint)
 //!   packets, I-sync/A-sync synchronization, context-ID and timestamp
-//!   packets. Both an encoder and a resumable byte-at-a-time decoder are
+//!   packets. Both an encoder and a resumable decoder (fed a byte or a
+//!   burst at a time, over one state machine) are
 //!   provided; the decoder is the reference against which the IGM Trace
 //!   Analyzer is verified.
 //! * [`tpiu`] — the CoreSight formatter: 16-byte frames that interleave
@@ -19,6 +20,9 @@
 //!   paper identifies as the dominant term of RTAD's transfer latency
 //!   ("PTM does not send the packets until enough packets are buffered
 //!   in the FIFO inside the ARM CPU", Fig. 7).
+//! * [`hostile`] — seeded damage (bit flips, reserved-ID frames, desync
+//!   floods, malformed branch packets, mid-frame cuts) for robustness
+//!   tests of everything that consumes the stream.
 //!
 //! The packet format is a documented simplification of ARM's PFT v1.1
 //! (IHI0035): same packet taxonomy, same differential address
@@ -45,6 +49,7 @@
 //! ```
 
 pub mod branch;
+pub mod hostile;
 pub mod ptm;
 pub mod stream;
 pub mod tpiu;

@@ -1,18 +1,34 @@
-//! Resumable byte-at-a-time PTM packet decoder.
+//! Resumable PTM packet decoder.
 //!
-//! The decoder is an explicit state machine fed one byte per call —
-//! deliberately, because that is how the IGM Trace Analyzer consumes the
-//! TPIU stream ("decoding for each packet must be done sequentially in
-//! bytes", §III-A). The hardware TA in `rtad-igm` embeds this same state
-//! machine in four per-byte units; this reference implementation is what
-//! it is verified against.
+//! The decoder is an explicit, resumable state machine: a packet may
+//! start in one burst of bytes and end in the next. It has two entry
+//! points over one core.
+//!
+//! * [`PacketDecoder::feed_slice`] decodes a whole burst — a 32-bit TA
+//!   word, or the whole words of several frames in a serving session —
+//!   with the machine's registers held in locals. It reports only what
+//!   a trace consumer acts on ([`Decoded`]: branch targets, context
+//!   changes and errors), each with the offset of the byte that
+//!   completed it. A branch-address packet, the packet that dominates
+//!   branch-broadcast trace, decodes in one step when its bytes lie in
+//!   the burst.
+//! * [`PacketDecoder::feed`] is the byte-at-a-time view of the same core
+//!   and returns every completed [`Packet`].
+//!
+//! Both produce the same packets, errors and counters for any split of
+//! the input. The paper's Trace Analyzer works the same way: packets are
+//! defined byte-sequentially ("decoding for each packet must be done
+//! sequentially in bytes", §III-A), yet four chained byte units decode a
+//! whole 32-bit word per cycle. The TA model in `rtad-igm` feeds this
+//! decoder one word at a time, and this reference decoder is what it is
+//! verified against.
 
 use std::error::Error;
 use std::fmt;
 
 use crate::branch::{IsetMode, VirtAddr};
 use crate::ptm::packet::Packet;
-use crate::ptm::{group_mask, GROUP_SHIFT};
+use crate::ptm::GROUP_SHIFT;
 
 /// An error raised while decoding a PTM byte stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -65,19 +81,51 @@ impl Error for DecodeError {}
 enum State {
     Idle,
     AsyncZeros(usize),
-    // Packet accumulators are fixed inline arrays, not heap buffers:
-    // branch packets arrive once per traced branch, and a per-packet
-    // `Vec` (plus its growth reallocations) dominated the decode hot
-    // path. Every packet kind has a small architectural length bound,
-    // so `[u8; N]` + fill count loses nothing.
-    Branch { buf: [u8; 5], len: u8 },
+    // Partial packets are held inline, not in heap buffers: branch
+    // packets arrive once per traced branch, and a per-packet `Vec`
+    // (plus its growth reallocations) dominated the decode hot path.
+    // Every packet kind has a small architectural length bound, so a
+    // fixed array (or word) plus a fill count loses nothing. A branch
+    // packet cut by the end of a burst keeps its first 1–4 bytes
+    // little-endian in `bytes`.
+    Branch { bytes: u64, len: u8 },
     BranchException { target: VirtAddr, mode: IsetMode },
     Isync { buf: [u8; 9], len: u8 },
     CtxId { buf: [u8; 4], len: u8 },
     Timestamp { acc: u64, shift: u32, bytes: usize },
 }
 
-/// Stateful PTM packet decoder, fed one byte at a time.
+/// What [`PacketDecoder::feed_slice`] reports: the subset of the packet
+/// stream a trace consumer acts on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Decoded {
+    /// A branch-address packet completed.
+    Branch {
+        /// Branch target address.
+        target: VirtAddr,
+        /// Instruction-set state at the target.
+        mode: IsetMode,
+        /// Exception number if the branch entered an exception.
+        exception: Option<u8>,
+    },
+    /// An I-sync or context-ID packet completed and names the current
+    /// process context.
+    Context(u32),
+    /// Malformed input; the decoder has reset to the idle state.
+    Error(DecodeError),
+}
+
+/// The packet state machine and the address-compression state it
+/// expands branch packets against. `Copy`, so a burst decodes on a
+/// local copy and writes it back once.
+#[derive(Debug, Clone, Copy)]
+struct Regs {
+    state: State,
+    last_halfword: u32,
+    last_mode: IsetMode,
+}
+
+/// Stateful PTM packet decoder, fed bytes or bursts of bytes.
 ///
 /// Mirrors [`PacketEncoder`](crate::ptm::PacketEncoder)'s
 /// address-compression state so partial branch-address packets can be
@@ -86,26 +134,38 @@ enum State {
 /// # Examples
 ///
 /// ```
-/// use rtad_trace::ptm::{Packet, PacketDecoder, PacketEncoder};
+/// use rtad_trace::ptm::{Decoded, Packet, PacketDecoder, PacketEncoder};
 /// use rtad_trace::{IsetMode, VirtAddr};
 ///
 /// # fn main() -> Result<(), rtad_trace::DecodeError> {
 /// let mut enc = PacketEncoder::new();
-/// let mut dec = PacketDecoder::new();
 /// let sent = Packet::branch(VirtAddr::new(0x20), IsetMode::Arm);
+/// let bytes = enc.encode(&sent);
+///
+/// // One byte at a time, every packet:
+/// let mut dec = PacketDecoder::new();
 /// let mut got = None;
-/// for b in enc.encode(&sent) {
+/// for &b in &bytes {
 ///     got = dec.feed(b)?;
 /// }
 /// assert_eq!(got, Some(sent));
+///
+/// // A whole burst, only what a consumer acts on:
+/// let mut dec = PacketDecoder::new();
+/// let mut seen = Vec::new();
+/// dec.feed_slice(&bytes, |at, d| seen.push((at, d)));
+/// let branch = Decoded::Branch {
+///     target: VirtAddr::new(0x20),
+///     mode: IsetMode::Arm,
+///     exception: None,
+/// };
+/// assert_eq!(seen, vec![(bytes.len() - 1, branch)]);
 /// # Ok(())
 /// # }
 /// ```
 #[derive(Debug, Clone)]
 pub struct PacketDecoder {
-    state: State,
-    last_halfword: u32,
-    last_mode: IsetMode,
+    regs: Regs,
     bytes_consumed: u64,
     packets_decoded: u64,
 }
@@ -114,9 +174,11 @@ impl PacketDecoder {
     /// Creates a decoder in the post-reset state (address 0, ARM mode).
     pub fn new() -> Self {
         PacketDecoder {
-            state: State::Idle,
-            last_halfword: 0,
-            last_mode: IsetMode::Arm,
+            regs: Regs {
+                state: State::Idle,
+                last_halfword: 0,
+                last_mode: IsetMode::Arm,
+            },
             bytes_consumed: 0,
             packets_decoded: 0,
         }
@@ -127,14 +189,15 @@ impl PacketDecoder {
         self.bytes_consumed
     }
 
-    /// Total packets emitted so far.
+    /// Total packets completed so far (every kind, not only those
+    /// [`feed_slice`](Self::feed_slice) reports).
     pub fn packets_decoded(&self) -> u64 {
         self.packets_decoded
     }
 
     /// Whether the decoder sits at a packet boundary (no partial packet).
     pub fn at_packet_boundary(&self) -> bool {
-        matches!(self.state, State::Idle)
+        matches!(self.regs.state, State::Idle)
     }
 
     /// Feeds one byte; returns a completed packet if this byte finished one.
@@ -146,19 +209,115 @@ impl PacketDecoder {
     /// A-sync (feeding further bytes is permitted; anything before the
     /// next A-sync may mis-decode, exactly like the hardware).
     pub fn feed(&mut self, byte: u8) -> Result<Option<Packet>, DecodeError> {
-        self.bytes_consumed += 1;
-        let result = self.feed_inner(byte);
-        match &result {
-            Ok(Some(_)) => self.packets_decoded += 1,
-            Err(_) => self.state = State::Idle,
-            _ => {}
-        }
-        result
+        let mut got = Ok(None);
+        self.decode(&[byte], |_, r| got = r.map(Some));
+        got
     }
 
-    fn feed_inner(&mut self, byte: u8) -> Result<Option<Packet>, DecodeError> {
+    /// Decodes a burst of bytes, calling `sink(offset, event)` for every
+    /// branch target, context change and error, in stream order.
+    /// `offset` indexes the byte of `bytes` that completed the packet
+    /// (or raised the error).
+    ///
+    /// Packets may straddle bursts: any split of a stream into bursts
+    /// yields the same events, and the same
+    /// [`bytes_consumed`](Self::bytes_consumed) and
+    /// [`packets_decoded`](Self::packets_decoded), as one call over the
+    /// whole stream or one [`feed`](Self::feed) per byte. Errors reset
+    /// the decoder to idle, exactly as in `feed`.
+    #[inline]
+    pub fn feed_slice(&mut self, bytes: &[u8], mut sink: impl FnMut(usize, Decoded)) {
+        self.decode(bytes, |at, r| match r {
+            Ok(Packet::BranchAddress {
+                target,
+                mode,
+                exception,
+            }) => sink(
+                at,
+                Decoded::Branch {
+                    target,
+                    mode,
+                    exception,
+                },
+            ),
+            Ok(Packet::Isync { context_id, .. } | Packet::ContextId(context_id)) => {
+                sink(at, Decoded::Context(context_id));
+            }
+            Ok(_) => {}
+            Err(e) => sink(at, Decoded::Error(e)),
+        });
+    }
+
+    /// The one decoder core: runs `bytes` through the state machine on a
+    /// local copy of the registers and hands every completed packet or
+    /// error to `emit` with the offset of the byte that completed it.
+    #[inline]
+    fn decode(&mut self, bytes: &[u8], mut emit: impl FnMut(usize, Result<Packet, DecodeError>)) {
+        let mut regs = self.regs;
+        let mut packets = 0u64;
+        let mut i = 0;
+        while i < bytes.len() {
+            let rest = &bytes[i..];
+            // Branch-address packets dominate branch-broadcast trace:
+            // take them straight to their routine, skipping the state
+            // dispatch (`step` routes them the same way).
+            let (step, used) = match regs.state {
+                State::Idle if rest[0] & 0x01 != 0 => regs.branch(0, 0, rest),
+                _ => regs.step(rest),
+            };
+            i += used;
+            match step {
+                Ok(None) => {}
+                Ok(Some(packet)) => {
+                    packets += 1;
+                    emit(i - 1, Ok(packet));
+                }
+                Err(e) => {
+                    regs.state = State::Idle;
+                    emit(i - 1, Err(e));
+                }
+            }
+        }
+        self.regs = regs;
+        self.bytes_consumed += bytes.len() as u64;
+        self.packets_decoded += packets;
+    }
+}
+
+/// Continuation bits (bit 7) of the five branch-address bytes in a
+/// little-endian word.
+const BRANCH_CONTINUES: u64 = 0x80_8080_8080;
+
+/// Up to the first five bytes of `bytes` (a branch-address packet's
+/// maximum), little-endian, zero-padded.
+#[inline]
+fn load_le(bytes: &[u8]) -> u64 {
+    match bytes.first_chunk::<5>() {
+        Some(&[a, b, c, d, e]) => u64::from_le_bytes([a, b, c, d, e, 0, 0, 0]),
+        None => bytes.iter().rev().fold(0, |x, &b| x << 8 | u64::from(b)),
+    }
+}
+
+/// Length of the branch-address packet starting the little-endian word
+/// `x`: one past the first of its five bytes without a continuation
+/// bit, or 9 when all five continue (a malformed packet).
+#[inline]
+fn branch_len(x: u64) -> usize {
+    ((!x & BRANCH_CONTINUES).trailing_zeros() / 8 + 1) as usize
+}
+
+impl Regs {
+    /// Advances the state machine over the start of `rest` (never
+    /// empty). Returns what completed, if anything, and how many bytes
+    /// were consumed: a branch-address packet's bytes in one step, as
+    /// many as lie in `rest`; one byte for everything else.
+    #[inline]
+    fn step(&mut self, rest: &[u8]) -> (Result<Option<Packet>, DecodeError>, usize) {
+        let byte = rest[0];
         let state = std::mem::replace(&mut self.state, State::Idle);
-        match state {
+        let result = match state {
+            State::Idle if byte & 0x01 != 0 => return self.branch(0, 0, rest),
+            State::Branch { bytes, len } => return self.branch(bytes, len, rest),
             State::Idle => self.start_packet(byte),
             State::AsyncZeros(n) => {
                 if byte == 0x00 {
@@ -175,10 +334,6 @@ impl PacketDecoder {
                 } else {
                     Err(DecodeError::AsyncInterrupted { zeros: n, byte })
                 }
-            }
-            State::Branch { mut buf, len } => {
-                buf[len as usize] = byte;
-                self.continue_branch(buf, len as usize + 1)
             }
             State::BranchException { target, mode } => {
                 let exc = byte & 0x7F;
@@ -225,7 +380,7 @@ impl PacketDecoder {
             }
             State::Timestamp { acc, shift, bytes } => {
                 if bytes >= 10 {
-                    return Err(DecodeError::TimestampTooLong);
+                    return (Err(DecodeError::TimestampTooLong), 1);
                 }
                 let acc = acc | (u64::from(byte & 0x7F) << shift.min(63));
                 if byte & 0x80 != 0 {
@@ -239,16 +394,12 @@ impl PacketDecoder {
                     Ok(Some(Packet::Timestamp(acc)))
                 }
             }
-        }
+        };
+        (result, 1)
     }
 
+    /// Starts a packet other than a branch address (header bit 0 clear).
     fn start_packet(&mut self, byte: u8) -> Result<Option<Packet>, DecodeError> {
-        if byte & 0x01 != 0 {
-            // Branch-address packet.
-            let mut buf = [0u8; 5];
-            buf[0] = byte;
-            return self.continue_branch(buf, 1);
-        }
         match byte {
             0x00 => {
                 self.state = State::AsyncZeros(1);
@@ -291,61 +442,78 @@ impl PacketDecoder {
         }
     }
 
-    fn continue_branch(&mut self, buf: [u8; 5], n: usize) -> Result<Option<Packet>, DecodeError> {
-        let last = buf[n - 1];
-        if last & 0x80 != 0 {
-            // Continuation set.
-            if n >= 5 {
-                return Err(DecodeError::BranchTooLong);
-            }
-            self.state = State::Branch { buf, len: n as u8 };
-            return Ok(None);
+    /// Continues a branch-address packet whose first `len` bytes
+    /// (little-endian in `seen`, none when `rest` starts with the
+    /// header) were consumed earlier, taking as many of its remaining
+    /// bytes from `rest` as it needs. Returns the outcome and the number
+    /// of bytes of `rest` consumed.
+    #[inline(always)]
+    fn branch(
+        &mut self,
+        seen: u64,
+        len: u8,
+        rest: &[u8],
+    ) -> (Result<Option<Packet>, DecodeError>, usize) {
+        let len = usize::from(len);
+        let x = seen | load_le(rest) << (8 * len);
+        let avail = len + rest.len();
+        let n = branch_len(x);
+        if n > 5 && avail >= 5 {
+            // Five bytes, all with the continuation bit.
+            return (Err(DecodeError::BranchTooLong), 5 - len);
         }
-
-        // Final byte seen: reconstruct the halfword index over the
-        // previous address.
-        let mut h = self.last_halfword;
-        for (i, &b) in buf[..n].iter().enumerate() {
-            let g = match i {
-                0 => u32::from((b >> 1) & 0x3F),
-                4 => u32::from(b & 0x0F),
-                _ => u32::from(b & 0x7F),
+        if n > avail {
+            // The burst ends inside the packet: keep what arrived.
+            self.state = State::Branch {
+                bytes: x,
+                len: avail as u8,
             };
-            h &= !(group_mask(i) << GROUP_SHIFT[i]);
-            h |= g << GROUP_SHIFT[i];
+            return (Ok(None), rest.len());
         }
+        let used = n - len;
+        let fin = (x >> 32) as u8;
+        if n == 5 && fin & 0x40 != 0 {
+            return (Err(DecodeError::ReservedBitSet(fin)), used);
+        }
+        let target = self.expand(x, n);
+        let mode = self.last_mode;
+        if n == 5 && fin & 0x20 != 0 {
+            self.state = State::BranchException { target, mode };
+            return (Ok(None), used);
+        }
+        let packet = Packet::BranchAddress {
+            target,
+            mode,
+            exception: None,
+        };
+        (Ok(Some(packet)), used)
+    }
 
-        let (mode, exception_flag) = if n == 5 {
-            let fin = buf[4];
-            if fin & 0x40 != 0 {
-                return Err(DecodeError::ReservedBitSet(fin));
-            }
-            let mode = if fin & 0x10 != 0 {
+    /// Expands a complete `n`-byte branch-address packet, held
+    /// little-endian in `x`, over the previous address: the groups the
+    /// packet carries replace the low bits of the previous halfword
+    /// index, the rest are inherited. A 5-byte packet also sets the mode.
+    #[inline(always)]
+    fn expand(&mut self, x: u64, n: usize) -> VirtAddr {
+        // Gather the groups (6, 7, 7, 7 and 4 bits, see `GROUP_SHIFT`)
+        // from bytes 0..5 into one halfword index.
+        let groups = ((x >> 1) & 0x3F)
+            | ((x >> 2) & (0x7F << GROUP_SHIFT[1]))
+            | ((x >> 3) & (0x7F << GROUP_SHIFT[2]))
+            | ((x >> 4) & (0x7F << GROUP_SHIFT[3]))
+            | ((x >> 5) & (0x0F << GROUP_SHIFT[4]));
+        // The first `n` groups end at bit 7n - 1 (31 for all five).
+        let carried = (1u64 << (7 * n as u64 - 1).min(31)) - 1;
+        let h = (u64::from(self.last_halfword) & !carried) | (groups & carried);
+        self.last_halfword = h as u32;
+        if n == 5 {
+            self.last_mode = if x & (0x10 << 32) != 0 {
                 IsetMode::Thumb
             } else {
                 IsetMode::Arm
             };
-            (mode, fin & 0x20 != 0)
-        } else {
-            (self.last_mode, false)
-        };
-
-        self.last_halfword = h;
-        if n == 5 {
-            self.last_mode = mode;
         }
-        let target = VirtAddr::from_halfword_index(h);
-
-        if exception_flag {
-            self.state = State::BranchException { target, mode };
-            Ok(None)
-        } else {
-            Ok(Some(Packet::BranchAddress {
-                target,
-                mode,
-                exception: None,
-            }))
-        }
+        VirtAddr::from_halfword_index(self.last_halfword)
     }
 }
 

@@ -33,7 +33,7 @@ pub mod decode;
 pub mod encode;
 pub mod packet;
 
-pub use decode::{DecodeError, PacketDecoder};
+pub use decode::{DecodeError, Decoded, PacketDecoder};
 pub use encode::PacketEncoder;
 pub use packet::Packet;
 

@@ -288,7 +288,8 @@ impl Default for TpiuFormatter {
     }
 }
 
-/// Error raised by [`TpiuDeframer::feed_frame`].
+/// Error raised by [`TpiuDeframer::feed_frame`] and
+/// [`TpiuDeframer::feed_frame_bytes`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum DeframeError {
@@ -326,7 +327,7 @@ impl TpiuDeframer {
         }
     }
 
-    /// Unpacks one 16-byte frame.
+    /// Unpacks one 16-byte frame into `(source, byte)` pairs.
     ///
     /// # Errors
     ///
@@ -337,31 +338,46 @@ impl TpiuDeframer {
         frame: &[u8; FRAME_BYTES],
     ) -> Result<Vec<(TraceId, u8)>, DeframeError> {
         let mut out = Vec::with_capacity(FRAME_BYTES - 1);
-        self.feed_frame_into(frame, &mut out)?;
+        self.deframe(frame, |id, b| out.push((id, b)))?;
         Ok(out)
     }
 
-    /// Unpacks one 16-byte frame, appending to a caller-owned buffer.
-    ///
-    /// This is the allocation-free core of [`TpiuDeframer::feed_frame`]:
-    /// a steady-state receiver reuses one scratch `Vec` across frames so
-    /// deframing never touches the heap after warm-up. Emitted pairs are
-    /// bit-identical to `feed_frame`'s.
+    /// Unpacks one 16-byte frame's data bytes into `out` and returns how
+    /// many there are: the receive path of a consumer that serves one
+    /// trace source and has no use for the ID. Allocation-free. The
+    /// bytes are exactly those of [`feed_frame`](Self::feed_frame)'s
+    /// pairs.
     ///
     /// # Errors
     ///
     /// Returns [`DeframeError::ReservedId`] if the frame announces an ID
-    /// in the architecturally reserved range.
-    pub fn feed_frame_into(
+    /// in the architecturally reserved range. `out` then holds nothing
+    /// of use, as `feed_frame` returns nothing of a rejected frame.
+    pub fn feed_frame_bytes(
         &mut self,
         frame: &[u8; FRAME_BYTES],
-        out: &mut Vec<(TraceId, u8)>,
+        out: &mut [u8; FRAME_BYTES - 1],
+    ) -> Result<usize, DeframeError> {
+        let mut n = 0;
+        self.deframe(frame, |_, b| {
+            out[n] = b;
+            n += 1;
+        })?;
+        Ok(n)
+    }
+
+    /// The one deframer core: walks the frame's slots, tracking ID
+    /// announcements, and hands every non-null data byte to `sink`.
+    #[inline]
+    fn deframe(
+        &mut self,
+        frame: &[u8; FRAME_BYTES],
+        mut sink: impl FnMut(TraceId, u8),
     ) -> Result<(), DeframeError> {
         let aux = frame[FRAME_BYTES - 1];
         for (slot, &b) in frame.iter().enumerate().take(FRAME_BYTES - 1) {
-            if slot.is_multiple_of(2) {
-                let k = slot / 2;
-                let flag = (aux >> k) & 1 != 0;
+            let byte = if slot.is_multiple_of(2) {
+                let flag = (aux >> (slot / 2)) & 1 != 0;
                 if b & 0x01 != 0 {
                     // ID byte.
                     let raw = b >> 1;
@@ -376,25 +392,21 @@ impl TpiuDeframer {
                         self.current_id = id;
                         self.delayed = None;
                     }
-                } else {
-                    // Data byte; true LSB deferred to aux.
-                    let byte = b | u8::from(flag);
-                    self.emit(out, byte);
+                    continue;
                 }
+                // Data byte; true LSB deferred to aux.
+                b | u8::from(flag)
             } else {
-                self.emit(out, b);
+                b
+            };
+            if !self.current_id.is_null() {
+                sink(self.current_id, byte);
+            }
+            if let Some(d) = self.delayed.take() {
+                self.current_id = d;
             }
         }
         Ok(())
-    }
-
-    fn emit(&mut self, out: &mut Vec<(TraceId, u8)>, byte: u8) {
-        if !self.current_id.is_null() {
-            out.push((self.current_id, byte));
-        }
-        if let Some(d) = self.delayed.take() {
-            self.current_id = d;
-        }
     }
 }
 
@@ -507,6 +519,34 @@ mod tests {
         let mut frame = [0u8; FRAME_BYTES];
         frame[0] = (0x75 << 1) | 1;
         assert_eq!(d.feed_frame(&frame), Err(DeframeError::ReservedId(0x75)));
+    }
+
+    #[test]
+    fn bytes_only_entry_matches_pairs() {
+        let (a, b) = (id(0x10), id(0x20));
+        let input: Vec<_> = (0u8..90)
+            .map(|i| (if i % 7 < 4 { a } else { b }, i))
+            .collect();
+        let mut f = TpiuFormatter::new();
+        for &(src, byte) in &input {
+            f.push(src, byte);
+        }
+        let mut frames = f.flush();
+        frames[2][0] = (0x71 << 1) | 1;
+        let (mut pairs, mut bytes) = (TpiuDeframer::new(), TpiuDeframer::new());
+        for frame in &frames {
+            let mut data = [0; FRAME_BYTES - 1];
+            match (
+                pairs.feed_frame(frame),
+                bytes.feed_frame_bytes(frame, &mut data),
+            ) {
+                (Ok(want), Ok(n)) => {
+                    let want: Vec<u8> = want.iter().map(|&(_, b)| b).collect();
+                    assert_eq!(data[..n], want[..]);
+                }
+                (want, got) => assert_eq!(want.map(|_| ()), got.map(|_| ())),
+            }
+        }
     }
 
     #[test]
