@@ -165,9 +165,11 @@ pub struct IgmSession {
     /// Partial TPIU frame from `push_bytes` chunks.
     frame_buf: [u8; FRAME_BYTES],
     frame_fill: usize,
-    /// Recycled dense-window buffers: consumers hand scored windows back
-    /// via [`IgmSession::recycle`] so steady-state histogram emission
-    /// allocates nothing.
+    /// Recycled dense-window buffers of the entry points that take no
+    /// pool: consumers hand scored windows back via
+    /// [`IgmSession::recycle`] so steady-state histogram emission
+    /// allocates nothing. Stays empty for a session that is always
+    /// driven through [`IgmSession::push_bytes_pooled`].
     pool: Vec<Vec<f32>>,
     stats: StreamingStats,
 }
@@ -212,8 +214,24 @@ impl IgmSession {
     }
 
     /// Pushes an arbitrary chunk of the TPIU byte stream, emitting every
-    /// vector that completes. Chunks need not align with frames.
+    /// vector that completes. Chunks need not align with frames. Dense
+    /// windows draw their buffers from the session's own pool.
     pub fn push_bytes(&mut self, shared: &IgmShared, bytes: &[u8], out: &mut Vec<StreamedVector>) {
+        let mut pool = std::mem::take(&mut self.pool);
+        self.push_bytes_pooled(shared, bytes, &mut pool, out);
+        self.pool = pool;
+    }
+
+    /// [`push_bytes`](Self::push_bytes) with dense-window buffers drawn
+    /// from `pool` instead of the session's own, so a host serving many
+    /// streams keeps one pool for all of them. Output is identical.
+    pub fn push_bytes_pooled(
+        &mut self,
+        shared: &IgmShared,
+        bytes: &[u8],
+        pool: &mut Vec<Vec<f32>>,
+        out: &mut Vec<StreamedVector>,
+    ) {
         let mut rest = bytes;
         // Complete any partial frame carried over from earlier chunks.
         if self.frame_fill > 0 {
@@ -226,14 +244,14 @@ impl IgmSession {
             }
             self.frame_fill = 0;
             let frame = self.frame_buf;
-            self.push_frames(shared, &frame, out);
+            self.push_frames(shared, &frame, pool, out);
         }
         // Whole frames straight out of the chunk, not staged through
         // `frame_buf`; each pass decodes several frames' bursts in one
         // call.
         let whole = rest.len() - rest.len() % FRAME_BYTES;
         for pass in rest[..whole].chunks(FRAMES_PER_PASS * FRAME_BYTES) {
-            self.push_frames(shared, pass, out);
+            self.push_frames(shared, pass, pool, out);
         }
         let tail = &rest[whole..];
         self.frame_buf[..tail.len()].copy_from_slice(tail);
@@ -248,23 +266,44 @@ impl IgmSession {
         frame: &[u8; FRAME_BYTES],
         out: &mut Vec<StreamedVector>,
     ) {
-        self.push_frames(shared, frame, out);
+        let mut pool = std::mem::take(&mut self.pool);
+        self.push_frames(shared, frame, &mut pool, out);
+        self.pool = pool;
     }
 
     /// Flushes straggler bytes at end of stream: sub-word TA bytes
     /// decode, and a partial TPIU frame (stream truncated mid-frame) is
     /// dropped — both exactly as the timed path does.
     pub fn finish(&mut self, shared: &IgmShared, out: &mut Vec<StreamedVector>) {
+        let mut pool = std::mem::take(&mut self.pool);
+        self.finish_pooled(shared, &mut pool, out);
+        self.pool = pool;
+    }
+
+    /// [`finish`](Self::finish) with dense-window buffers drawn from
+    /// `pool` (see [`push_bytes_pooled`](Self::push_bytes_pooled)).
+    pub fn finish_pooled(
+        &mut self,
+        shared: &IgmShared,
+        pool: &mut Vec<Vec<f32>>,
+        out: &mut Vec<StreamedVector>,
+    ) {
         self.frame_fill = 0;
         let (carry, n) = (self.carry, self.carry_len);
-        self.decode_bursts(shared, &carry[..n], &[n], out);
+        self.decode_bursts(shared, &carry[..n], &[n], pool, out);
     }
 
     /// Deframes up to [`FRAMES_PER_PASS`] whole frames behind the carried
     /// bytes and decodes them in one pass. Each frame that deframes ends
     /// a TA burst at its last completed word; a malformed frame is
     /// dropped whole and ends none.
-    fn push_frames(&mut self, shared: &IgmShared, frames: &[u8], out: &mut Vec<StreamedVector>) {
+    fn push_frames(
+        &mut self,
+        shared: &IgmShared,
+        frames: &[u8],
+        pool: &mut Vec<Vec<f32>>,
+        out: &mut Vec<StreamedVector>,
+    ) {
         let mut bytes = [0u8; 3 + FRAMES_PER_PASS * (FRAME_BYTES - 1)];
         let mut len = self.carry_len;
         bytes[..len].copy_from_slice(&self.carry[..len]);
@@ -282,7 +321,7 @@ impl IgmSession {
                 n += 1;
             }
         }
-        self.decode_bursts(shared, &bytes[..len], &ends[..n], out);
+        self.decode_bursts(shared, &bytes[..len], &ends[..n], pool, out);
     }
 
     /// Decodes `bytes` up to the last of the burst ends `ends` in one
@@ -293,6 +332,7 @@ impl IgmSession {
         shared: &IgmShared,
         bytes: &[u8],
         ends: &[usize],
+        pool: &mut Vec<Vec<f32>>,
         out: &mut Vec<StreamedVector>,
     ) {
         let take = ends.last().copied().unwrap_or(0);
@@ -305,7 +345,7 @@ impl IgmSession {
         let (mut burst, mut admitted) = (0, 0);
         let stats = &mut self.stats;
         let context_id = &mut self.context_id;
-        let (encoder, pool) = (&mut self.encoder, &mut self.pool);
+        let encoder = &mut self.encoder;
         self.decoder
             .feed_slice(&bytes[..take], |at, event| match event {
                 Decoded::Branch { target, .. } => {

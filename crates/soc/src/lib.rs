@@ -76,8 +76,8 @@ pub use serve::{
     SparseOutcome, StreamOutcome, VerdictPolicy, VerdictState, SCORE_HASH_SEED,
 };
 pub use sparse::{
-    ByteRing, MemoryFootprint, ReadyQueue, RoundStats, ShardConfig, ShardFeeder,
-    ShardedSparsePipeline, SparseConfig, SparsePipeline, SparseStats,
+    ByteRing, MemoryFootprint, ReadyQueue, RingPool, RingStorage, RoundStats, ShardConfig,
+    ShardFeeder, ShardedSparsePipeline, SparseConfig, SparsePipeline, SparseStats,
 };
 pub use sweep::{parallel_map, sweep_threads};
 pub use transfer::{

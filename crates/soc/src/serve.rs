@@ -376,11 +376,6 @@ impl BatchFormer {
         &self.spec
     }
 
-    /// Whether batches take at most one window per stream (LSTM).
-    pub(crate) fn lockstep(&self) -> bool {
-        self.ctx.lockstep
-    }
-
     /// Registers the next stream id: verdict state, outcome slot and
     /// model lane.
     pub(crate) fn register(&mut self) {
@@ -396,17 +391,24 @@ impl BatchFormer {
         self.queue.push_back((stream, payload));
     }
 
-    /// Windows queued and not yet scored.
-    pub(crate) fn queued(&self) -> usize {
-        self.queue.len()
+    /// Under the ELM, scores batches while a full one is queued, so at
+    /// most `max_batch - 1` windows (and their dense buffers) wait in
+    /// the queue afterwards. Does nothing under the LSTM: a lockstep
+    /// batch waits for the round end, where it can mix every ready
+    /// stream.
+    pub(crate) fn score_full(&mut self, mut recycle: impl FnMut(Vec<f32>)) {
+        if !self.ctx.lockstep {
+            while self.queue.len() >= self.max_batch {
+                self.score_next(&mut recycle);
+            }
+        }
     }
 
     /// Scores the next batch: forms it from the queue, scores it,
     /// updates each window's verdict and outcome, then hands every
-    /// scored dense buffer to `recycle(stream, buffer)` for reuse by
-    /// the stream's decode session. Returns the windows scored, `0`
-    /// when the queue was empty.
-    pub(crate) fn score_next(&mut self, mut recycle: impl FnMut(usize, Vec<f32>)) -> usize {
+    /// scored dense buffer to `recycle` for reuse by the next decode.
+    /// Returns the windows scored, `0` when the queue was empty.
+    pub(crate) fn score_next(&mut self, mut recycle: impl FnMut(Vec<f32>)) -> usize {
         if self.queue.is_empty() {
             return 0;
         }
@@ -435,7 +437,7 @@ impl BatchFormer {
             // O(registered streams).
             self.in_batch[stream] = false;
             if let VectorPayload::Dense(buf) = payload {
-                recycle(stream, buf);
+                recycle(buf);
             }
         }
         n
@@ -665,8 +667,8 @@ mod tests {
                 break;
             }
         }
-        while former.score_next(|_, _| {}) > 0 {}
-        assert_eq!(former.queued(), 0);
+        while former.score_next(|_| {}) > 0 {}
+        assert!(former.queue.is_empty());
         (former.outcomes().to_vec(), former.tally().1)
     }
 
@@ -709,7 +711,7 @@ mod tests {
     fn empty_former_scores_nothing() {
         let mut former = BatchFormer::new(elm_spec(), 8);
         former.register();
-        assert_eq!(former.score_next(|_, _| panic!("nothing to recycle")), 0);
+        assert_eq!(former.score_next(|_| panic!("nothing to recycle")), 0);
         assert_eq!(former.tally(), (0, 0, 0));
         assert_eq!(*former.outcome(0), SparseOutcome::default());
     }

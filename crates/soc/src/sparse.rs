@@ -3,37 +3,54 @@
 //! A production deployment watches an enormous stream population where
 //! almost every stream is idle at any instant, so ingest is built
 //! around the epoll idea: *cost must be proportional to ready streams,
-//! not registered streams.*
+//! not registered streams.* Memory follows the same rule: a stream
+//! owns only what it needs while idle, and storage for bytes and
+//! windows in flight comes from two plane-wide free lists.
 //!
 //! ```text
 //!   feed(id, bytes) ──▶ [ByteRing id]  ─┐ empty→nonempty
 //!                                       ├──▶ [ReadyQueue] ──▶ poll_round()
 //!   feed(id', bytes') ─▶ [ByteRing id'] ┘                      drains READY
-//!                                                              streams only
+//!        ▲ take on first byte      │ put back when drained     streams only
+//!        └───────── [RingPool] ◀───┘
 //! ```
 //!
-//! * **Registration** allocates everything a stream will ever need: a
-//!   fixed-capacity [`ByteRing`], a compact [`IgmSession`] over the
-//!   deployment's single shared mapper table ([`IgmShared`] — the
-//!   table is *not* duplicated per stream), and the batch former's
-//!   per-stream slots (verdict state, LSTM lane if the model is
-//!   recurrent, fixed-size [`SparseOutcome`]). After registration the
-//!   steady-state ingest path allocates nothing (pinned by the
-//!   `alloc_free` and `sparse_smoke` gates).
-//! * **Feeding** copies bytes into the stream's ring and, on the
-//!   empty→nonempty transition, enqueues the stream on the
+//! * **Registration** allocates a stream's idle state: an empty
+//!   [`ByteRing`] (capacity, head and length, no storage), a compact
+//!   [`IgmSession`] over the deployment's single shared mapper table
+//!   ([`IgmShared`] — the table is *not* duplicated per stream), and
+//!   the batch former's per-stream slots (verdict state, LSTM lane if
+//!   the model is recurrent, fixed-size [`SparseOutcome`]).
+//! * **Feeding** copies bytes into the stream's ring. A feed that
+//!   brings bytes to an empty ring takes its storage from the plane's
+//!   [`RingPool`], which allocates only when its free list is empty; on
+//!   the empty→nonempty transition the stream is enqueued on the
 //!   [`ReadyQueue`] (at most once — an `enqueued` bitmap guards
 //!   duplicates). A full ring **drops** the overflow and counts it in
 //!   the per-stream drop counter: explicit backpressure that can never
-//!   stall a neighbor stream.
+//!   stall a neighbor stream. Admission depends only on the ring's
+//!   capacity and length, never on the pool.
 //! * **Polling** visits only ready streams: each drains up to
 //!   [`SparseConfig::drain_bytes`] from its ring through its decode
 //!   session, and emitted windows go to the plane's one batch former
 //!   (`crate::serve`), which scores cross-stream batches and updates
-//!   verdicts. A stream whose ring still holds
-//!   bytes re-enqueues itself; an idle stream costs zero CPU per round
-//!   and a measured, compact number of resident bytes
+//!   verdicts. A ring that drains empty puts its storage back on the
+//!   free list (so a flushed close holds none); a stream whose ring
+//!   still holds bytes re-enqueues itself. An idle stream costs zero
+//!   CPU per round and a measured, compact number of resident bytes
 //!   ([`SparsePipeline::memory_footprint`]).
+//! * **Dense windows** (the ELM's histograms) are heap buffers drawn
+//!   from one plane-wide pool and returned to it once scored; sessions
+//!   the plane owns hold none. The former scores whenever `max_batch`
+//!   windows are queued, so the buffers outstanding — and so the pool —
+//!   never exceed `max_batch` plus the windows one quantum decodes.
+//!
+//! Both free lists grow only when more streams hold bytes, or more
+//! windows wait, at once than ever before, so after warm-up the
+//! steady-state ingest path allocates nothing (pinned by the
+//! `alloc_free` and `sparse_smoke` gates). The worst case — every
+//! registered stream holding bytes at once — equals one ring per stream
+//! allocated up front.
 //!
 //! **Bit-identity contract.** For a given per-stream byte order (the
 //! interleaving of `feed` calls across streams is irrelevant — streams
@@ -55,18 +72,24 @@ use rtad_igm::{IgmSession, IgmShared, StreamedVector, StreamingStats};
 
 use crate::serve::{BatchFormer, ServeSpec, SparseOutcome};
 
-/// A fixed-capacity byte ring: the per-stream ingest buffer. All
-/// storage is allocated at construction; `push` past capacity accepts
-/// a prefix and reports how much, so the caller can count drops.
-#[derive(Debug, Clone)]
+/// A fixed-capacity byte ring: the per-stream ingest buffer. The ring
+/// always keeps its capacity, head and length, but holds storage only
+/// while it has undrained bytes: a push into an empty ring takes a
+/// buffer from a [`RingPool`], and the drain that empties the ring
+/// puts it back. `push` past capacity accepts a prefix and reports how
+/// much, so the caller can count drops.
+#[derive(Debug)]
 pub struct ByteRing {
-    buf: Box<[u8]>,
+    /// `capacity` bytes of storage, present exactly while `len > 0`.
+    buf: Option<Box<[u8]>>,
+    capacity: usize,
     head: usize,
     len: usize,
 }
 
 impl ByteRing {
-    /// A ring holding up to `capacity` bytes.
+    /// An empty ring admitting up to `capacity` bytes. It holds no
+    /// storage until its first push.
     ///
     /// # Panics
     ///
@@ -74,7 +97,8 @@ impl ByteRing {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "a zero-capacity ring can never admit bytes");
         ByteRing {
-            buf: vec![0u8; capacity].into_boxed_slice(),
+            buf: None,
+            capacity,
             head: 0,
             len: 0,
         }
@@ -82,7 +106,7 @@ impl ByteRing {
 
     /// The fixed capacity in bytes.
     pub fn capacity(&self) -> usize {
-        self.buf.len()
+        self.capacity
     }
 
     /// Bytes currently buffered.
@@ -97,20 +121,31 @@ impl ByteRing {
 
     /// Free space in bytes.
     pub fn free(&self) -> usize {
-        self.buf.len() - self.len
+        self.capacity - self.len
+    }
+
+    /// Whether the ring currently holds storage (exactly when it holds
+    /// bytes).
+    pub fn holds_storage(&self) -> bool {
+        self.buf.is_some()
     }
 
     /// Copies as much of `bytes` as fits and returns the accepted
     /// count; the rest is the caller's to count as dropped. Never
-    /// allocates, never blocks.
-    pub fn push(&mut self, bytes: &[u8]) -> usize {
+    /// blocks; an empty ring that accepts bytes takes its storage from
+    /// `pool`, which allocates only when its free list is empty.
+    pub fn push(&mut self, bytes: &[u8], pool: &mut RingPool) -> usize {
         let take = bytes.len().min(self.free());
-        let cap = self.buf.len();
+        if take == 0 {
+            return 0;
+        }
+        let cap = self.capacity;
+        let buf = self.buf.get_or_insert_with(|| pool.take(cap));
         let tail = (self.head + self.len) % cap;
         let first = take.min(cap - tail);
-        self.buf[tail..tail + first].copy_from_slice(&bytes[..first]);
+        buf[tail..tail + first].copy_from_slice(&bytes[..first]);
         if take > first {
-            self.buf[..take - first].copy_from_slice(&bytes[first..take]);
+            buf[..take - first].copy_from_slice(&bytes[first..take]);
         }
         self.len += take;
         take
@@ -118,26 +153,98 @@ impl ByteRing {
 
     /// Pops up to `max` bytes, handing the consumer at most two
     /// contiguous slices (one if the range does not wrap). Returns the
-    /// number of bytes drained. Zero-copy on the consumer side.
-    pub fn drain_into(&mut self, max: usize, mut f: impl FnMut(&[u8])) -> usize {
+    /// number of bytes drained. Zero-copy on the consumer side; a drain
+    /// that empties the ring puts its storage back on `pool`.
+    pub fn drain_into(
+        &mut self,
+        max: usize,
+        pool: &mut RingPool,
+        mut f: impl FnMut(&[u8]),
+    ) -> usize {
         let take = max.min(self.len);
         if take == 0 {
             return 0;
         }
-        let cap = self.buf.len();
+        let cap = self.capacity;
+        let buf = self
+            .buf
+            .as_deref()
+            .expect("a ring with bytes holds storage");
         let first = take.min(cap - self.head);
-        f(&self.buf[self.head..self.head + first]);
+        f(&buf[self.head..self.head + first]);
         if take > first {
-            f(&self.buf[..take - first]);
+            f(&buf[..take - first]);
         }
-        self.head = (self.head + take) % cap;
         self.len -= take;
+        self.head = (self.head + take) % cap;
+        if self.len == 0 {
+            self.head = 0;
+            pool.put(self.buf.take().expect("a ring with bytes holds storage"));
+        }
         take
     }
 
-    /// Resident bytes: struct plus the fixed backing store.
+    /// Resident bytes: the struct plus the storage it holds, if any.
     pub fn resident_bytes(&self) -> usize {
-        size_of::<Self>() + self.buf.len()
+        size_of::<Self>() + self.buf.as_ref().map_or(0, |b| b.len())
+    }
+}
+
+/// The free list of ring storage that a plane's [`ByteRing`]s share.
+/// A buffer is allocated only when the list is empty, so the pool grows
+/// only when more rings hold bytes at once than ever before: the
+/// buffers it has allocated equal the most rings that held storage at
+/// the same time, and the steady state allocates nothing.
+#[derive(Debug, Default)]
+pub struct RingPool {
+    free: Vec<Box<[u8]>>,
+    allocated: usize,
+}
+
+impl RingPool {
+    /// An empty pool.
+    pub fn new() -> Self {
+        RingPool::default()
+    }
+
+    /// A `capacity`-byte buffer from the free list, or a new one if the
+    /// list is empty. Every ring sharing a pool has one capacity.
+    fn take(&mut self, capacity: usize) -> Box<[u8]> {
+        match self.free.pop() {
+            Some(buf) => {
+                assert_eq!(buf.len(), capacity, "rings sharing a pool share a capacity");
+                buf
+            }
+            None => {
+                self.allocated += 1;
+                // Room for every buffer ever allocated, so `put` never
+                // allocates.
+                self.free.reserve(self.allocated);
+                vec![0u8; capacity].into_boxed_slice()
+            }
+        }
+    }
+
+    /// Puts a drained ring's buffer back on the free list.
+    fn put(&mut self, buf: Box<[u8]>) {
+        self.free.push(buf);
+    }
+
+    /// Buffers allocated so far.
+    pub fn allocated(&self) -> usize {
+        self.allocated
+    }
+
+    /// Buffers on the free list.
+    pub fn free(&self) -> usize {
+        self.free.len()
+    }
+
+    /// Resident bytes of the list and the free buffers on it (buffers
+    /// held by rings count toward their rings).
+    pub fn resident_bytes(&self) -> usize {
+        self.free.capacity() * size_of::<Box<[u8]>>()
+            + self.free.iter().map(|b| b.len()).sum::<usize>()
     }
 }
 
@@ -217,8 +324,10 @@ impl ReadyQueue {
 /// Knobs of the sparse-readiness pipeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SparseConfig {
-    /// Per-stream ingest ring capacity in bytes — the dominant
-    /// per-idle-stream memory knob.
+    /// Per-stream ingest ring capacity in bytes: the most bytes one
+    /// stream may hold undrained before feeds drop. A stream holds
+    /// storage of this size only while it has undrained bytes, so it
+    /// costs memory per *busy* stream, not per registered one.
     pub ring_capacity: usize,
     /// Maximum windows per inference batch.
     pub max_batch: usize,
@@ -287,18 +396,22 @@ pub struct MemoryFootprint {
     /// shared IGM mapper table. (Model weights are deployment state
     /// shared with every other serving path and are not counted.)
     pub shared_bytes: usize,
-    /// Bytes paid per registered stream, summed: ring + decode session
-    /// + verdict state + model lane + outcome + bookkeeping slots.
+    /// Bytes owned per registered stream, summed: the ring (with the
+    /// storage it holds while it has undrained bytes), decode session,
+    /// verdict state, model lane, outcome and bookkeeping slots, and
+    /// the readiness queue's per-stream slots.
     pub stream_bytes: usize,
-    /// Reusable cross-stream scratch (window queue, batch buffer,
-    /// emit buffer, readiness queue) — bounded by ready-stream burst
-    /// size, not by the registered population.
+    /// Reusable cross-stream scratch (free ring storage, the dense
+    /// window pool, window queue, batch buffer, emit buffer) — bounded
+    /// by the ready burst (streams holding bytes at once, windows in
+    /// flight), not by the registered population.
     pub scratch_bytes: usize,
 }
 
 impl MemoryFootprint {
     /// Average resident bytes per registered stream (the
-    /// memory-per-idle-stream metric when measured before any feed).
+    /// memory-per-idle-stream metric whenever no ring holds bytes,
+    /// before or after activity).
     pub fn bytes_per_stream(&self) -> f64 {
         if self.streams == 0 {
             return 0.0;
@@ -307,18 +420,19 @@ impl MemoryFootprint {
     }
 }
 
-/// Ingest sub-quantum (bytes) for streams emitting *dense* pooled
-/// windows. One decoded byte yields at most one window, so a sub-bite
-/// puts at most this many un-recycled buffers in flight before the
-/// next high-water check.
-const DENSE_SUBQUANTUM: usize = 64;
-
-/// Queue length that forces a batch flush while draining dense
-/// streams. `DENSE_HIGH_WATER + DENSE_SUBQUANTUM + max_batch` bounds
-/// the dense-window buffers outstanding against one session's recycle
-/// pool (capacity 256), keeping the steady state allocation-free for
-/// any `max_batch ≤ 128`.
-const DENSE_HIGH_WATER: usize = 64;
+/// Ring storage of a [`SparsePipeline`], counted in buffers of
+/// [`SparseConfig::ring_capacity`] bytes. `free + held == allocated`
+/// always holds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct RingStorage {
+    /// Buffers allocated so far: the most streams that held undrained
+    /// bytes at once.
+    pub allocated: usize,
+    /// Buffers on the plane's free list.
+    pub free: usize,
+    /// Buffers held by rings with undrained bytes.
+    pub held: usize,
+}
 
 /// The sparse-readiness serving pipeline: a long-lived host object
 /// multiplexing an arbitrary registered stream population through the
@@ -328,7 +442,11 @@ pub struct SparsePipeline {
     config: SparseConfig,
     shared: IgmShared,
     rings: Vec<ByteRing>,
+    /// Storage for rings with undrained bytes.
+    ring_pool: RingPool,
     sessions: Vec<IgmSession>,
+    /// Dense-window buffers for every session, returned once scored.
+    window_pool: Vec<Vec<f32>>,
     /// Per-stream bytes dropped by a full ring.
     dropped: Vec<u64>,
     /// `close` was requested; the final sub-word flush happens on the
@@ -351,7 +469,9 @@ impl SparsePipeline {
             former: BatchFormer::new(spec, config.max_batch),
             config,
             rings: Vec::new(),
+            ring_pool: RingPool::new(),
             sessions: Vec::new(),
+            window_pool: Vec::new(),
             dropped: Vec::new(),
             closing: Vec::new(),
             flushed: Vec::new(),
@@ -361,10 +481,10 @@ impl SparsePipeline {
         }
     }
 
-    /// Registers one stream, allocating its entire resident state up
-    /// front (ring, decode session, verdict state, model lane), and
-    /// returns its id. This is the *only* place the per-stream path
-    /// allocates.
+    /// Registers one stream, allocating its idle state (an empty ring,
+    /// decode session, verdict state, model lane), and returns its id.
+    /// Storage for its bytes and windows in flight comes from the
+    /// plane's pools.
     pub fn register(&mut self) -> usize {
         let id = self.rings.len();
         self.rings.push(ByteRing::new(self.config.ring_capacity));
@@ -399,7 +519,7 @@ impl SparsePipeline {
             self.stats.dropped_bytes = self.stats.dropped_bytes.saturating_add(bytes.len() as u64);
             return 0;
         }
-        let accepted = self.rings[stream].push(bytes);
+        let accepted = self.rings[stream].push(bytes, &mut self.ring_pool);
         let lost = (bytes.len() - accepted) as u64;
         self.dropped[stream] = self.dropped[stream].saturating_add(lost);
         self.stats.dropped_bytes = self.stats.dropped_bytes.saturating_add(lost);
@@ -433,56 +553,33 @@ impl SparsePipeline {
             self.stats.busy_rounds += 1;
         }
         let (windows_before, batches_before, _) = self.former.tally();
-        // Dense windows hold pooled buffers; drain those streams in
-        // sub-quanta and flush at a queue high-water mark so the
-        // number of un-recycled buffers per session stays below the
-        // session pool's cap (otherwise a long drain would outrun the
-        // pool and the "zero steady-state allocations" contract).
-        // Token windows are inline values — no buffer pressure — so
-        // they take the whole quantum in one bite, which also keeps
-        // LSTM batches mixing windows across every ready stream.
-        let dense = !self.former.lockstep();
         for _ in 0..ready_now {
             let Some(s) = self.ready.dequeue() else { break };
             self.stats.stream_polls += 1;
-            let mut remaining = self.config.drain_bytes.max(1);
-            while remaining > 0 {
-                let step = if dense {
-                    remaining.min(DENSE_SUBQUANTUM)
-                } else {
-                    remaining
-                };
-                let session = &mut self.sessions[s];
-                let shared = &self.shared;
-                let emitted = &mut self.emitted;
-                let got = self.rings[s].drain_into(step, |slice| {
-                    session.push_bytes(shared, slice, emitted);
-                });
-                for v in self.emitted.drain(..) {
-                    self.former.push(s, v.payload);
-                }
-                if dense && self.former.queued() >= DENSE_HIGH_WATER {
-                    self.flush_batches();
-                }
-                if got < step {
-                    break; // ring empty
-                }
-                remaining -= got;
-            }
+            let session = &mut self.sessions[s];
+            let (shared, pool, emitted) = (&self.shared, &mut self.window_pool, &mut self.emitted);
+            self.rings[s].drain_into(
+                self.config.drain_bytes.max(1),
+                &mut self.ring_pool,
+                |slice| {
+                    session.push_bytes_pooled(shared, slice, pool, emitted);
+                },
+            );
             if self.rings[s].is_empty() {
                 if self.closing[s] && !self.flushed[s] {
-                    let session = &mut self.sessions[s];
-                    session.finish(&self.shared, &mut self.emitted);
+                    session.finish_pooled(shared, pool, emitted);
                     self.flushed[s] = true;
-                    for v in self.emitted.drain(..) {
-                        self.former.push(s, v.payload);
-                    }
                 }
             } else {
                 // Fairness: leftover bytes re-arm readiness for the
                 // next round instead of monopolizing this one.
                 self.ready.enqueue(s);
             }
+            for v in self.emitted.drain(..) {
+                self.former.push(s, v.payload);
+            }
+            let pool = &mut self.window_pool;
+            self.former.score_full(|buf| pool.push(buf));
         }
 
         self.flush_batches();
@@ -494,11 +591,11 @@ impl SparsePipeline {
         }
     }
 
-    /// Scores everything queued, recycling dense buffers to their
-    /// owning sessions.
+    /// Scores everything queued, returning dense buffers to the plane's
+    /// window pool.
     fn flush_batches(&mut self) {
-        let sessions = &mut self.sessions;
-        while self.former.score_next(|s, buf| sessions[s].recycle(buf)) > 0 {}
+        let pool = &mut self.window_pool;
+        while self.former.score_next(|buf| pool.push(buf)) > 0 {}
     }
 
     /// Polls until no stream is ready (all accepted bytes decoded and
@@ -577,10 +674,21 @@ impl SparsePipeline {
         self.former.spec()
     }
 
+    /// Ring storage allocated, free and held (see [`RingStorage`]).
+    pub fn ring_storage(&self) -> RingStorage {
+        RingStorage {
+            allocated: self.ring_pool.allocated(),
+            free: self.ring_pool.free(),
+            held: self.rings.iter().filter(|r| r.holds_storage()).count(),
+        }
+    }
+
     /// Measures resident memory by walking every owned buffer's
-    /// capacity (no allocator hooks needed). Called right after
-    /// registration this yields the memory-per-*idle*-stream metric;
-    /// called later it includes warmed pools and scratch.
+    /// capacity (no allocator hooks needed). Per stream it counts only
+    /// what the stream owns, so once every ring has drained the
+    /// per-stream bytes are the memory-per-*idle*-stream metric, before
+    /// or after activity; the pools warmed by activity count as
+    /// scratch.
     pub fn memory_footprint(&self) -> MemoryFootprint {
         let streams = self.rings.len();
         // Fixed ingest bookkeeping slots per stream (dropped, closing,
@@ -595,8 +703,15 @@ impl SparsePipeline {
             })
             .sum::<usize>()
             + self.ready.resident_bytes();
-        let scratch_bytes =
-            self.former.scratch_bytes() + self.emitted.capacity() * size_of::<StreamedVector>();
+        let scratch_bytes = self.former.scratch_bytes()
+            + self.emitted.capacity() * size_of::<StreamedVector>()
+            + self.ring_pool.resident_bytes()
+            + self.window_pool.capacity() * size_of::<Vec<f32>>()
+            + self
+                .window_pool
+                .iter()
+                .map(|b| b.capacity() * size_of::<f32>())
+                .sum::<usize>();
         MemoryFootprint {
             streams,
             shared_bytes: size_of::<Self>() + self.shared.resident_bytes(),
@@ -728,6 +843,7 @@ mod tests {
     use crate::serve::{encode_streams, serial_reference, ServeModel, VerdictPolicy};
     use rtad_igm::IgmConfig;
     use rtad_ml::{Elm, ElmConfig, Lstm, LstmConfig};
+    use rtad_trace::tpiu::FRAME_BYTES;
     use rtad_trace::{BranchKind, BranchRecord, VirtAddr};
 
     fn targets(n: u32) -> Vec<VirtAddr> {
@@ -990,19 +1106,97 @@ mod tests {
         assert!(per1000 > 0.0);
     }
 
+    /// After every stream has been active and its ring drained, the
+    /// rings and decode sessions are back at their idle size: bytes and
+    /// windows in flight lived in the plane's pools, which stay within
+    /// the ready burst however many streams are registered.
+    #[test]
+    fn memory_per_stream_is_unchanged_by_activity() {
+        const STREAMS: usize = 1000;
+        for (spec, n_targets) in [(elm_spec(), 8), (lstm_spec(), 6)] {
+            let config = SparseConfig::default();
+            let mut p = SparsePipeline::new(spec, config);
+            p.register_many(STREAMS);
+            let before = p.memory_footprint();
+            let former_before: Vec<usize> = (0..STREAMS)
+                .map(|s| p.former.stream_resident_bytes(s))
+                .collect();
+
+            let lens: Vec<usize> = (0..7).map(|k| 300 + 33 * k).collect();
+            let streams = encode_streams(&runs(STREAMS, &lens, n_targets), 1);
+            let mut peak_ready = 0;
+            for (s, bytes) in streams.iter().enumerate() {
+                for piece in bytes.chunks(80) {
+                    while p.ring_free(s) < piece.len() {
+                        p.poll_round();
+                    }
+                    assert_eq!(p.feed(s, piece), piece.len());
+                    peak_ready = peak_ready.max(p.ready_len());
+                }
+            }
+            p.drain();
+            let after = p.memory_footprint();
+
+            // The former's per-stream state may grow only by verdict
+            // hit history: at most `burst_k + 1` window indices, in a
+            // deque of at most four slots for these policies.
+            let history: usize = (0..STREAMS)
+                .map(|s| p.former.stream_resident_bytes(s) - former_before[s])
+                .sum();
+            assert!(history <= STREAMS * size_of::<[u64; 4]>());
+            assert_eq!(
+                after.stream_bytes,
+                before.stream_bytes + history,
+                "rings and sessions must own nothing once drained"
+            );
+            // Scratch: every ring buffer is back on the free list, and
+            // there are no more of them than streams that held bytes at
+            // once; dense-window buffers never exceed a full batch plus
+            // one quantum's windows (a quantum decodes its `drain_bytes`
+            // plus a carried partial frame, and a decoded byte completes
+            // at most one window).
+            let rings = p.ring_storage();
+            assert_eq!(rings.held, 0);
+            assert_eq!(rings.free, rings.allocated);
+            assert!(rings.allocated > 0 && rings.allocated <= peak_ready);
+            assert!(
+                peak_ready < STREAMS / 10,
+                "the feeder kept {peak_ready} streams ready"
+            );
+            assert!(p.window_pool.len() <= config.max_batch + config.drain_bytes + FRAME_BYTES);
+            let list = 2 * size_of::<Box<[u8]>>();
+            assert!(
+                p.ring_pool.resident_bytes() <= rings.allocated * (config.ring_capacity + list)
+            );
+            assert!(after.scratch_bytes >= p.ring_pool.resident_bytes());
+        }
+    }
+
     #[test]
     fn byte_ring_wraps_and_reports() {
+        let mut pool = RingPool::new();
         let mut r = ByteRing::new(8);
-        assert_eq!(r.push(&[1, 2, 3, 4, 5, 6]), 6);
+        assert!(!r.holds_storage());
+        assert_eq!(r.push(&[1, 2, 3, 4, 5, 6], &mut pool), 6);
         let mut got = Vec::new();
-        assert_eq!(r.drain_into(4, |s| got.extend_from_slice(s)), 4);
+        assert_eq!(r.drain_into(4, &mut pool, |s| got.extend_from_slice(s)), 4);
         // Wrap: 2 left, 6 free, push 7 accepts 6 split across the seam.
-        assert_eq!(r.push(&[7, 8, 9, 10, 11, 12, 13]), 6);
+        assert_eq!(r.push(&[7, 8, 9, 10, 11, 12, 13], &mut pool), 6);
         assert_eq!(r.len(), 8);
-        assert_eq!(r.push(&[99]), 0, "full ring accepts nothing");
-        r.drain_into(usize::MAX, |s| got.extend_from_slice(s));
+        assert_eq!(r.push(&[99], &mut pool), 0, "full ring accepts nothing");
+        assert_eq!((pool.allocated(), pool.free()), (1, 0));
+        r.drain_into(usize::MAX, &mut pool, |s| got.extend_from_slice(s));
         assert_eq!(got, vec![1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12]);
         assert!(r.is_empty());
+        // Drained empty: the storage is back on the list, and the next
+        // push takes it again instead of allocating.
+        assert!(!r.holds_storage());
+        assert_eq!((pool.allocated(), pool.free()), (1, 1));
+        assert_eq!(r.resident_bytes(), size_of::<ByteRing>());
+        assert_eq!(r.push(&[], &mut pool), 0);
+        assert!(!r.holds_storage(), "an empty push takes no storage");
+        assert_eq!(r.push(&[5], &mut pool), 1);
+        assert_eq!((pool.allocated(), pool.free()), (1, 0));
     }
 
     #[test]

@@ -9,6 +9,10 @@
 //! chunks (with recycling) and scoring further batches must perform
 //! **zero** heap allocations.
 //!
+//! The serving plane is gated on clean traffic and on clean streams
+//! mixed with damaged ones (`rtad_trace::hostile`): resynchronizing
+//! after damage must not allocate either.
+//!
 //! Everything lives in one `#[test]` so no sibling test thread can
 //! allocate while the counting gate is open.
 
@@ -19,6 +23,7 @@ use rtad_soc::{
     ServeModel, ServeSpec, ShardConfig, ShardFeeder, ShardedSparsePipeline, SparseConfig,
     SparsePipeline, VerdictPolicy,
 };
+use rtad_trace::hostile::{damage, Damage};
 use rtad_trace::{BranchKind, BranchRecord, PtmConfig, StreamEncoder, VirtAddr};
 
 #[global_allocator]
@@ -270,6 +275,51 @@ fn hot_paths_are_allocation_free_in_steady_state() {
             n, 0,
             "steady-state sparse ingest (lstm={is_lstm}) made {n} allocations \
              over {steady_windows} windows"
+        );
+    }
+
+    // --- The same plane over hostile traffic: every other active
+    // stream is damaged (bit flips, reserved-ID frames, desync floods,
+    // malformed branch packets, mid-frame cuts). Decode errors and
+    // resynchronization, ring storage and dense windows going back to
+    // the plane's pools must all stay allocation-free once warm.
+    let id = PtmConfig::rtad().trace_id;
+    let mixed: Vec<Vec<u8>> = (0..8u64)
+        .map(|s| {
+            if s % 2 == 1 {
+                damage(&bytes, id, 0xA11C + s, &Damage::ALL)
+            } else {
+                bytes.clone()
+            }
+        })
+        .collect();
+    for spec in sparse_specs.clone() {
+        let is_lstm = matches!(spec.model, ServeModel::Lstm(_));
+        let mut p = SparsePipeline::new(spec, SparseConfig::default());
+        p.register_many(64); // 8 active (4 damaged), 56 idle
+        let cycle = |p: &mut SparsePipeline| {
+            for (s, b) in mixed.iter().enumerate() {
+                sparse_feed_lossless(p, s, b);
+            }
+            p.drain();
+        };
+        cycle(&mut p); // warm-up
+        let warm_windows = p.stats().windows;
+        let n = settled_allocations(|| cycle(&mut p));
+        let steady_windows = p.stats().windows - warm_windows;
+        let errors: u64 = (0..mixed.len())
+            .map(|s| p.session_stats(s).decode_errors)
+            .sum();
+        assert!(errors > 0, "damaged streams decoded without an error");
+        assert!(
+            steady_windows > 0,
+            "hostile steady phase emitted no windows"
+        );
+        assert_eq!(p.stats().dropped_bytes, 0, "lossless feeder dropped bytes");
+        assert_eq!(
+            n, 0,
+            "steady-state hostile ingest (lstm={is_lstm}) made {n} allocations \
+             over {steady_windows} windows and {errors} decode errors"
         );
     }
 

@@ -10,14 +10,21 @@
 //! * the plane drains in a bounded number of rounds and drops no byte;
 //! * each damaged stream's session counts exactly the decode errors
 //!   recorded for it ([`POISON_DECODE_ERRORS`]).
+//!
+//! A second schedule fires bursts larger than a ring into the damaged
+//! streams with no poll in between and closes them halfway through
+//! their bytes. Drops are counted against the bursting stream only,
+//! every offered byte is fed or dropped, clean neighbours stay
+//! bit-identical, and once the closes flush every ring's storage is
+//! back on the plane's free list.
 
 use std::sync::OnceLock;
 
 use rtad_igm::IgmConfig;
 use rtad_ml::{Elm, ElmConfig, Lstm, LstmConfig};
 use rtad_soc::{
-    encode_streams, serial_reference, ServeModel, ServeSpec, SparseConfig, SparseOutcome,
-    SparsePipeline, VerdictPolicy,
+    encode_streams, serial_reference, RingStorage, ServeModel, ServeSpec, SparseConfig,
+    SparseOutcome, SparsePipeline, VerdictPolicy,
 };
 use rtad_trace::hostile::{damage, Damage};
 use rtad_trace::{BranchKind, BranchRecord, PtmConfig, VirtAddr};
@@ -125,15 +132,46 @@ fn streams() -> Vec<Vec<u8>> {
         .collect()
 }
 
+const CONFIG: SparseConfig = SparseConfig {
+    ring_capacity: 192,
+    max_batch: 8,
+    drain_bytes: 96,
+};
+
+/// Offers `want` bytes of `bytes` from `off` to `stream` losslessly,
+/// polling whenever its ring is full.
+fn feed_lossless(p: &mut SparsePipeline, stream: usize, bytes: &[u8], off: usize, want: usize) {
+    let mut sent = 0;
+    while sent < want {
+        let free = p.ring_free(stream);
+        if free == 0 {
+            p.poll_round();
+            continue;
+        }
+        let n = free.min(want - sent);
+        assert_eq!(p.feed(stream, &bytes[off + sent..off + sent + n]), n);
+        sent += n;
+    }
+}
+
+/// Closes `ids` and drains in a bounded number of rounds.
+fn close_and_drain(p: &mut SparsePipeline, ids: &[usize], total: usize) {
+    for &s in ids {
+        p.close(s);
+    }
+    let bound = total / CONFIG.drain_bytes + 4 * ids.len() + 8;
+    let mut rounds = 0;
+    while p.ready_len() > 0 {
+        assert!(rounds < bound, "drain did not terminate in {bound} rounds");
+        p.poll_round();
+        rounds += 1;
+    }
+}
+
 /// Feeds `streams` (as pipeline streams `ids`) losslessly in rotating
 /// chunks, closes them and drains in a bounded number of rounds.
 fn serve(spec: &ServeSpec, streams: &[Vec<u8>], ids: &[usize]) -> SparsePipeline {
-    let config = SparseConfig {
-        ring_capacity: 192,
-        max_batch: 8,
-        drain_bytes: 96,
-    };
-    let mut p = SparsePipeline::new(spec.clone(), config);
+    let mut p = SparsePipeline::new(spec.clone(), CONFIG);
     p.register_many(streams.len());
     let mut offs = vec![0usize; ids.len()];
     let mut turn = 0usize;
@@ -141,17 +179,7 @@ fn serve(spec: &ServeSpec, streams: &[Vec<u8>], ids: &[usize]) -> SparsePipeline
         for (k, &s) in ids.iter().enumerate() {
             let bytes = &streams[s];
             let want = (17 + 29 * ((turn + k) % 5)).min(bytes.len() - offs[k]);
-            let mut sent = 0;
-            while sent < want {
-                let free = p.ring_free(s);
-                if free == 0 {
-                    p.poll_round();
-                    continue;
-                }
-                let n = free.min(want - sent);
-                assert_eq!(p.feed(s, &bytes[offs[k] + sent..offs[k] + sent + n]), n);
-                sent += n;
-            }
+            feed_lossless(&mut p, s, bytes, offs[k], want);
             offs[k] += want;
         }
         turn += 1;
@@ -159,17 +187,8 @@ fn serve(spec: &ServeSpec, streams: &[Vec<u8>], ids: &[usize]) -> SparsePipeline
             p.poll_round();
         }
     }
-    for &s in ids {
-        p.close(s);
-    }
     let total: usize = ids.iter().map(|&s| streams[s].len()).sum();
-    let bound = total / config.drain_bytes + 4 * ids.len() + 8;
-    let mut rounds = 0;
-    while p.ready_len() > 0 {
-        assert!(rounds < bound, "drain did not terminate in {bound} rounds");
-        p.poll_round();
-        rounds += 1;
-    }
+    close_and_drain(&mut p, ids, total);
     assert_eq!(
         p.dropped_bytes_total(),
         0,
@@ -228,4 +247,118 @@ fn hostile_streams_stay_contained_elm() {
 #[test]
 fn hostile_streams_stay_contained_lstm() {
     check(&lstm_spec());
+}
+
+/// Bytes past a ring's capacity that each burst into a damaged stream
+/// carries.
+const OVERSHOOT: usize = 108;
+
+/// Clean streams fed losslessly beside damaged streams that take
+/// fire-and-forget bursts of `ring_capacity + OVERSHOOT` bytes and are
+/// closed once half their bytes were offered (the rest is still
+/// offered, and drops). Returns the plane, the bytes offered to each
+/// stream and the bytes each accepted.
+fn serve_bursts(spec: &ServeSpec, streams: &[Vec<u8>]) -> (SparsePipeline, Vec<u64>, Vec<Vec<u8>>) {
+    let mut p = SparsePipeline::new(spec.clone(), CONFIG);
+    p.register_many(streams.len());
+    let burst = CONFIG.ring_capacity + OVERSHOOT;
+    let mut offered = vec![0u64; streams.len()];
+    let mut accepted = vec![Vec::new(); streams.len()];
+    let mut offs = vec![0usize; streams.len()];
+    let mut turn = 0usize;
+    while (0..streams.len()).any(|s| offs[s] < streams[s].len()) {
+        for (s, bytes) in streams.iter().enumerate() {
+            let off = offs[s];
+            if off >= bytes.len() {
+                continue;
+            }
+            if poisoned(s) {
+                let piece = &bytes[off..(off + burst).min(bytes.len())];
+                let took = p.feed(s, piece);
+                accepted[s].extend_from_slice(&piece[..took]);
+                offered[s] += piece.len() as u64;
+                offs[s] += piece.len();
+                if offs[s] >= bytes.len() / 2 {
+                    p.close(s);
+                }
+            } else {
+                let want = (17 + 29 * ((turn + s) % 5)).min(bytes.len() - off);
+                feed_lossless(&mut p, s, bytes, off, want);
+                accepted[s].extend_from_slice(&bytes[off..off + want]);
+                offered[s] += want as u64;
+                offs[s] += want;
+            }
+        }
+        turn += 1;
+        if turn.is_multiple_of(3) {
+            p.poll_round();
+        }
+    }
+    let all: Vec<usize> = (0..streams.len()).collect();
+    let total: usize = streams.iter().map(Vec::len).sum();
+    close_and_drain(&mut p, &all, total);
+    (p, offered, accepted)
+}
+
+fn check_bursts(spec: &ServeSpec) {
+    let streams = streams();
+    let clean: Vec<usize> = (0..STREAMS).filter(|&s| !poisoned(s)).collect();
+    let (p, offered, accepted) = serve_bursts(spec, &streams);
+    let clean_only = serve(spec, &streams, &clean);
+
+    for s in 0..STREAMS {
+        let dropped = offered[s] - accepted[s].len() as u64;
+        assert_eq!(
+            p.dropped_bytes(s),
+            dropped,
+            "stream {s}'s drops are its own"
+        );
+        if poisoned(s) {
+            assert!(
+                dropped > 0,
+                "a burst past the ring into stream {s} must drop"
+            );
+        } else {
+            assert_eq!(dropped, 0, "clean stream {s}");
+            assert_eq!(
+                p.outcome(s),
+                clean_only.outcome(s),
+                "clean stream {s} changed by bursting neighbours"
+            );
+        }
+    }
+    let stats = p.stats();
+    assert_eq!(
+        stats.fed_bytes + stats.dropped_bytes,
+        offered.iter().sum::<u64>(),
+        "fed + dropped = offered"
+    );
+    for (s, r) in serial_reference(spec, &accepted).iter().enumerate() {
+        assert_eq!(
+            p.outcome(s),
+            &r.summary(),
+            "stream {s} vs the serial reference of its accepted bytes"
+        );
+    }
+    let rings = p.ring_storage();
+    assert!(rings.allocated > 0);
+    assert_eq!(
+        rings,
+        RingStorage {
+            allocated: rings.allocated,
+            free: rings.allocated,
+            held: 0
+        },
+        "ring storage back on the free list once the closes flushed"
+    );
+}
+
+#[test]
+fn bursts_and_mid_stream_closes_stay_contained_elm() {
+    check_bursts(&elm_spec());
+}
+
+#[test]
+fn bursts_and_mid_stream_closes_stay_contained_lstm() {
+    check_bursts(&lstm_spec());
 }

@@ -9,6 +9,13 @@
 //!   either accepted (`fed_bytes`) or counted in a drop counter, and
 //!   drop-free streams still score bit-identically to the serial
 //!   reference even when a sibling's ring saturates.
+//! * **Ring storage lifecycle**: under any feed/poll/close schedule,
+//!   floods included, every feed accepts and drops exactly what a
+//!   fixed-capacity ring per stream would; a ring holds storage exactly
+//!   while it holds bytes; storage on the free list plus storage held
+//!   equals storage ever allocated, which equals the most streams that
+//!   held bytes at once; and every stream's outcome equals the serial
+//!   reference of the bytes it accepted.
 //! * **Determinism**: for any feed interleaving, chunking, ring
 //!   capacity, drain quantum and batch bound — and any number of extra
 //!   registered-but-idle streams — the sparse-scheduled verdicts are
@@ -19,12 +26,13 @@ use std::collections::VecDeque;
 use std::sync::OnceLock;
 
 use proptest::prelude::*;
+use proptest::TestCaseError;
 
 use rtad_igm::IgmConfig;
 use rtad_ml::{Elm, ElmConfig, Lstm, LstmConfig};
 use rtad_soc::{
-    encode_streams, serial_reference, ByteRing, ReadyQueue, ServeModel, ServeSpec, SparseConfig,
-    SparsePipeline, VerdictPolicy,
+    encode_streams, serial_reference, ByteRing, ReadyQueue, RingPool, RingStorage, ServeModel,
+    ServeSpec, SparseConfig, SparsePipeline, VerdictPolicy,
 };
 use rtad_trace::{BranchKind, BranchRecord, VirtAddr};
 
@@ -165,6 +173,7 @@ proptest! {
         ops in proptest::collection::vec((any::<bool>(), 0usize..48), 1..64),
     ) {
         let mut ring = ByteRing::new(cap);
+        let mut pool = RingPool::new();
         let mut model: VecDeque<u8> = VecDeque::new();
         let mut counter = 0u8;
         for (is_push, n) in ops {
@@ -175,12 +184,12 @@ proptest! {
                         counter
                     })
                     .collect();
-                let accepted = ring.push(&data);
+                let accepted = ring.push(&data, &mut pool);
                 prop_assert_eq!(accepted, n.min(cap - model.len()), "accepted prefix");
                 model.extend(&data[..accepted]);
             } else {
                 let mut got = Vec::new();
-                let drained = ring.drain_into(n, |s| got.extend_from_slice(s));
+                let drained = ring.drain_into(n, &mut pool, |s| got.extend_from_slice(s));
                 prop_assert_eq!(drained, n.min(model.len()), "drained count");
                 let want: Vec<u8> = model.drain(..drained).collect();
                 prop_assert_eq!(got, want, "drained bytes in order");
@@ -188,6 +197,8 @@ proptest! {
             prop_assert_eq!(ring.len(), model.len());
             prop_assert_eq!(ring.free(), cap - model.len());
             prop_assert_eq!(ring.is_empty(), model.is_empty());
+            prop_assert_eq!(ring.holds_storage(), !model.is_empty(), "storage only while holding bytes");
+            prop_assert!(pool.allocated() <= 1, "one ring reuses one buffer");
         }
     }
 
@@ -352,5 +363,223 @@ proptest! {
                 );
             }
         }
+    }
+}
+
+/// The ingest model the plane must match byte for byte: per stream, a
+/// fixed ring of `cap` bytes (a `VecDeque` that never grows past it),
+/// the bytes accepted so far, the bytes dropped and whether it closed.
+struct RingModel {
+    cap: usize,
+    quantum: usize,
+    rings: Vec<VecDeque<u8>>,
+    accepted: Vec<Vec<u8>>,
+    dropped: Vec<u64>,
+    closed: Vec<bool>,
+    offered: u64,
+    /// Streams holding bytes now, and the most that held bytes at once.
+    held: usize,
+    peak_held: usize,
+}
+
+impl RingModel {
+    fn new(streams: usize, cap: usize, quantum: usize) -> Self {
+        RingModel {
+            cap,
+            quantum: quantum.max(1),
+            rings: vec![VecDeque::with_capacity(cap); streams],
+            accepted: vec![Vec::new(); streams],
+            dropped: vec![0; streams],
+            closed: vec![false; streams],
+            offered: 0,
+            held: 0,
+            peak_held: 0,
+        }
+    }
+
+    /// Offers `bytes` to stream `s`; returns the accepted count.
+    fn feed(&mut self, s: usize, bytes: &[u8]) -> usize {
+        self.offered += bytes.len() as u64;
+        let take = if self.closed[s] {
+            0
+        } else {
+            bytes.len().min(self.cap - self.rings[s].len())
+        };
+        if take > 0 && self.rings[s].is_empty() {
+            self.held += 1;
+            self.peak_held = self.peak_held.max(self.held);
+        }
+        self.rings[s].extend(&bytes[..take]);
+        self.accepted[s].extend_from_slice(&bytes[..take]);
+        self.dropped[s] += (bytes.len() - take) as u64;
+        take
+    }
+
+    /// One poll round: every stream holding bytes drains one quantum.
+    fn poll(&mut self) {
+        for ring in &mut self.rings {
+            let n = ring.len().min(self.quantum);
+            ring.drain(..n);
+        }
+        self.held = self.rings.iter().filter(|r| !r.is_empty()).count();
+    }
+}
+
+/// Checks the plane's ring storage against the model after one step.
+fn check_storage(p: &SparsePipeline, model: &RingModel) -> Result<(), TestCaseError> {
+    let st = p.ring_storage();
+    prop_assert_eq!(st.free + st.held, st.allocated, "free + held = allocated");
+    prop_assert_eq!(st.held, model.held, "storage held exactly while bytes are");
+    prop_assert_eq!(
+        st.allocated,
+        model.peak_held,
+        "allocations = peak streams holding bytes"
+    );
+    Ok(())
+}
+
+/// After closing and draining: no stream holds storage, bytes are
+/// conserved, and every stream equals the serial reference of what it
+/// accepted.
+fn check_drained(
+    p: &SparsePipeline,
+    model: &RingModel,
+    spec: &ServeSpec,
+) -> Result<(), TestCaseError> {
+    let st = p.ring_storage();
+    prop_assert_eq!(
+        st,
+        RingStorage {
+            allocated: model.peak_held,
+            free: model.peak_held,
+            held: 0
+        }
+    );
+    let stats = p.stats();
+    prop_assert_eq!(
+        stats.fed_bytes + stats.dropped_bytes,
+        model.offered,
+        "bytes conserved"
+    );
+    // Streams that accepted the same bytes share one reference run.
+    let mut distinct = model.accepted.clone();
+    distinct.sort();
+    distinct.dedup();
+    let reference = serial_reference(spec, &distinct);
+    for (s, accepted) in model.accepted.iter().enumerate() {
+        let r = &reference[distinct.binary_search(accepted).expect("listed above")];
+        prop_assert_eq!(p.dropped_bytes(s), model.dropped[s], "stream {} drops", s);
+        prop_assert_eq!(
+            p.outcome(s),
+            &r.summary(),
+            "stream {} vs the reference of its accepted bytes",
+            s
+        );
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Random feed/poll/close schedules with floods (every stream
+    /// offered more than a ring holds, no poll in between) keep ring
+    /// storage, admission and outcomes exactly on the model.
+    #[test]
+    fn ring_lifecycle_matches_fixed_ring_model(
+        model_choice in prop_oneof![Just(ModelChoice::Elm), Just(ModelChoice::Lstm)],
+        lens in proptest::collection::vec(100usize..300, 2..6),
+        ring_capacity in 16usize..160,
+        drain_bytes in 8usize..200,
+        ops in proptest::collection::vec((0u8..20, 0usize..64, 1usize..200), 1..120),
+    ) {
+        let spec = spec_for(model_choice);
+        let streams = synth_streams(&lens, if matches!(model_choice, ModelChoice::Elm) { 8 } else { 6 });
+        let n = streams.len();
+        let mut p = SparsePipeline::new(
+            spec.clone(),
+            SparseConfig { ring_capacity, max_batch: 8, drain_bytes },
+        );
+        p.register_many(n);
+        let mut model = RingModel::new(n, ring_capacity, drain_bytes);
+        let mut offs = vec![0usize; n];
+        let mut offer = |p: &mut SparsePipeline, model: &mut RingModel, s: usize, len: usize| {
+            let end = (offs[s] + len).min(streams[s].len());
+            let bytes = &streams[s][offs[s]..end];
+            offs[s] = end;
+            let got = p.feed(s, bytes);
+            let want = model.feed(s, bytes);
+            (got, want)
+        };
+        for (kind, raw, len) in ops {
+            let s = raw % n;
+            match kind {
+                0..=10 => {
+                    let (got, want) = offer(&mut p, &mut model, s, len);
+                    prop_assert_eq!(got, want, "accepted by stream {}", s);
+                }
+                11..=16 => {
+                    p.poll_round();
+                    model.poll();
+                }
+                17..=18 => {
+                    p.close(s);
+                    model.closed[s] = true;
+                }
+                _ => {
+                    for s in 0..n {
+                        let (got, want) = offer(&mut p, &mut model, s, ring_capacity + len);
+                        prop_assert_eq!(got, want, "flooded stream {}", s);
+                    }
+                }
+            }
+            check_storage(&p, &model)?;
+        }
+        p.finish_all();
+        check_drained(&p, &model, &spec)?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    /// A flood over thousands of streams: every ring fills with no poll
+    /// in between, so ring storage reaches one buffer per stream — the
+    /// up-front allocation it replaced — and a second flood after the
+    /// drain reuses those buffers without allocating more.
+    #[test]
+    fn flood_of_every_stream_reuses_ring_storage(
+        model_choice in prop_oneof![Just(ModelChoice::Elm), Just(ModelChoice::Lstm)],
+        n in 1000usize..3000,
+        ring_capacity in 16usize..256,
+        extra in 1usize..64,
+    ) {
+        let spec = spec_for(model_choice);
+        let templates = synth_streams(&[400, 250, 330], if matches!(model_choice, ModelChoice::Elm) { 8 } else { 6 });
+        // A batch bound above the population: lockstep batch formation
+        // scans the whole queue once per batch, which at a small bound
+        // would dominate the run with thousands of streams ready.
+        let mut p = SparsePipeline::new(
+            spec.clone(),
+            SparseConfig { ring_capacity, max_batch: 4096, drain_bytes: 64 },
+        );
+        p.register_many(n);
+        let mut model = RingModel::new(n, ring_capacity, 64);
+        let burst = ring_capacity + extra;
+        for flood in 0..2 {
+            for s in 0..n {
+                let t = &templates[s % templates.len()];
+                let bytes = &t[(flood * burst).min(t.len())..((flood + 1) * burst).min(t.len())];
+                prop_assert_eq!(p.feed(s, bytes), model.feed(s, bytes), "stream {} in flood {}", s, flood);
+            }
+            prop_assert_eq!(p.ring_storage(), RingStorage { allocated: n, free: 0, held: n });
+            check_storage(&p, &model)?;
+            p.drain();
+            model.rings.iter_mut().for_each(VecDeque::clear);
+            model.held = 0;
+            check_storage(&p, &model)?;
+        }
+        p.finish_all();
+        check_drained(&p, &model, &spec)?;
     }
 }
