@@ -38,8 +38,6 @@ impl BasicBlock {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Cfg {
     blocks: Vec<BasicBlock>,
-    /// Block index owning each instruction.
-    block_of_instr: Vec<usize>,
 }
 
 impl Cfg {
@@ -117,20 +115,12 @@ impl Cfg {
             }
         }
 
-        Cfg {
-            blocks,
-            block_of_instr,
-        }
+        Cfg { blocks }
     }
 
     /// The basic blocks, in program order.
     pub fn blocks(&self) -> &[BasicBlock] {
         &self.blocks
-    }
-
-    /// The block containing instruction `pc`.
-    pub fn block_of(&self, pc: usize) -> usize {
-        self.block_of_instr[pc]
     }
 
     /// Blocks reachable from the entry (forward DFS).
@@ -219,25 +209,9 @@ mod tests {
         let k = assemble("spin:\ns_branch spin\ns_endpgm").unwrap();
         let cfg = Cfg::build(&k);
         let exit = cfg.can_exit(&k.code);
-        assert!(!exit[cfg.block_of(0)], "spin block has no path out");
+        // Blocks in program order: the spin [0,1), then the endpgm [1,2).
+        assert!(!exit[0], "spin block has no path out");
         let reach = cfg.reachable();
-        assert!(!reach[cfg.block_of(1)], "endpgm is dead code here");
-    }
-
-    #[test]
-    fn block_of_maps_every_instruction() {
-        let k = assemble(
-            "s_cmp_lt_i32 s0, 4\n\
-             s_cbranch_scc1 skip\n\
-             v_mov_b32 v1, 1.0\n\
-             skip:\n\
-             s_endpgm",
-        )
-        .unwrap();
-        let cfg = Cfg::build(&k);
-        for pc in 0..k.len() {
-            let b = cfg.block_of(pc);
-            assert!(cfg.blocks()[b].range().contains(&pc));
-        }
+        assert!(!reach[1], "endpgm is dead code here");
     }
 }

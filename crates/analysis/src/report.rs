@@ -64,13 +64,6 @@ pub enum FindingKind {
     /// A reachable instruction needs a feature the trim plan deleted —
     /// it would trap with `ExecError::TrimmedFeature` at runtime.
     TrimIncompatible,
-    /// A back edge whose trip count the cycle-bound analysis cannot
-    /// prove — only the engine's watchdog budget bounds the kernel.
-    Unbounded,
-    /// A store the lane-interference analysis cannot prove
-    /// lane-private or broadcast — the kernel gets no lane-disjointness
-    /// certificate.
-    MayInterfere,
 }
 
 impl fmt::Display for FindingKind {
@@ -80,8 +73,6 @@ impl fmt::Display for FindingKind {
             FindingKind::UnreachableCode => f.write_str("unreachable-code"),
             FindingKind::NoPathToEndpgm => f.write_str("no-path-to-endpgm"),
             FindingKind::TrimIncompatible => f.write_str("trim-incompatible"),
-            FindingKind::Unbounded => f.write_str("unbounded"),
-            FindingKind::MayInterfere => f.write_str("may-interfere"),
         }
     }
 }
@@ -128,12 +119,6 @@ pub struct KernelReport {
     pub static_features: CoverageSet,
     /// The findings, in program order.
     pub findings: Vec<Finding>,
-    /// The static per-wave cycle bound (launch-independent; under the
-    /// analyzing engine's cost model). `None` only for reports built
-    /// by paths that skip resource analysis (e.g. pure trim checks).
-    pub cycle_bound: Option<crate::bounds::CycleBound>,
-    /// The lane-interference certificate. `None` as for `cycle_bound`.
-    pub lane_disjointness: Option<crate::lanes::LaneDisjointness>,
 }
 
 impl KernelReport {
@@ -167,12 +152,6 @@ impl fmt::Display for KernelReport {
             self.static_features.len(),
             self.findings.len()
         )?;
-        if let Some(bound) = &self.cycle_bound {
-            writeln!(f, "  resources: {bound}")?;
-        }
-        if let Some(lanes) = &self.lane_disjointness {
-            writeln!(f, "  lanes: {lanes}")?;
-        }
         for finding in &self.findings {
             writeln!(f, "  {finding}")?;
         }
@@ -217,8 +196,6 @@ mod tests {
                 mk(Severity::Warning, FindingKind::UnreachableCode),
                 mk(Severity::Error, FindingKind::UseBeforeDef),
             ],
-            cycle_bound: None,
-            lane_disjointness: None,
         };
         assert_eq!(report.errors().count(), 1);
         assert_eq!(report.warnings().count(), 1);

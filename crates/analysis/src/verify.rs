@@ -15,15 +15,12 @@ use std::error::Error;
 use std::fmt;
 
 use rtad_miaow::coverage::{CoverageSet, Feature};
-use rtad_miaow::exec::CostModel;
 use rtad_miaow::isa::Kernel;
 use rtad_miaow::{Engine, ExecError, GpuMemory, LaunchStats, TrimPlan};
 
-use crate::bounds::{cycle_bound, CycleBound};
 use crate::cfg::Cfg;
 use crate::dataflow::{undefined_uses, RegSet};
 use crate::features::static_features;
-use crate::lanes::{lane_disjointness, LaneDisjointness};
 use crate::report::{Finding, FindingKind, KernelReport, Severity};
 
 /// Statically analyzes one kernel launched with `n_args` user-data
@@ -83,42 +80,6 @@ pub fn analyze(kernel: &Kernel, n_args: usize) -> KernelReport {
         }
     }
 
-    // Resource analysis: a launch-independent cycle bound under the
-    // default cost model (a verifying engine re-derives it under its
-    // own model) and the lane-interference certificate. Both degrade to
-    // warnings — an unbounded kernel still runs under the default
-    // watchdog, and an interfering one still runs its lanes in order.
-    let bound = cycle_bound(kernel, &CostModel::default(), None);
-    if let CycleBound::Unbounded { pc } = bound {
-        findings.push(Finding {
-            severity: Severity::Warning,
-            kind: FindingKind::Unbounded,
-            pc: Some(pc),
-            register: None,
-            feature: None,
-            message: format!(
-                "`{}` closes a back edge with no provable trip count; \
-                 the default watchdog budget applies",
-                code[pc].mnemonic()
-            ),
-        });
-    }
-    let lanes = lane_disjointness(kernel);
-    if let LaneDisjointness::MayInterfere { pc } = lanes {
-        findings.push(Finding {
-            severity: Severity::Warning,
-            kind: FindingKind::MayInterfere,
-            pc: Some(pc),
-            register: None,
-            feature: None,
-            message: format!(
-                "`{}` may write overlapping bytes from different lanes; \
-                 no lane-disjointness certificate",
-                code[pc].mnemonic()
-            ),
-        });
-    }
-
     findings.sort_by_key(|f| (f.pc, std::cmp::Reverse(f.severity)));
     KernelReport {
         kernel: kernel.name.clone(),
@@ -126,8 +87,6 @@ pub fn analyze(kernel: &Kernel, n_args: usize) -> KernelReport {
         blocks: cfg.blocks().len(),
         static_features: static_features(&cfg, code),
         findings,
-        cycle_bound: Some(bound),
-        lane_disjointness: Some(lanes),
     }
 }
 
@@ -214,20 +173,6 @@ impl VerifiedKernel {
     /// The static feature closure.
     pub fn static_features(&self) -> &CoverageSet {
         &self.report.static_features
-    }
-
-    /// Proves this kernel runs trap-free on an engine trimmed to `plan`.
-    ///
-    /// # Errors
-    ///
-    /// Returns the trim-incompatibility findings otherwise.
-    pub fn compatible_with(&self, plan: &TrimPlan) -> Result<(), Vec<Finding>> {
-        let findings = trim_findings(&self.kernel, plan.retained());
-        if findings.is_empty() {
-            Ok(())
-        } else {
-            Err(findings)
-        }
     }
 
     /// Unwraps back into the kernel.
@@ -321,11 +266,6 @@ impl VerifiedEngine {
             let mut report = analyze(kernel, n_args);
             if let Some(retained) = self.engine.retained() {
                 report.findings.extend(trim_findings(kernel, retained));
-            }
-            // The bound in `analyze` uses the default cost model; this
-            // engine may cost instructions differently.
-            if self.engine.config().cost != CostModel::default() {
-                report.cycle_bound = Some(cycle_bound(kernel, &self.engine.config().cost, None));
             }
             if report.is_clean() {
                 // A clean verdict means this kernel is about to run;
@@ -515,45 +455,6 @@ mod tests {
             "stale clean verdict survived the retrim"
         );
         assert_eq!(engine.cached_verdicts(), 2, "trim plan is part of the key");
-    }
-
-    #[test]
-    fn clean_bounded_kernels_carry_both_certificates() {
-        let k = assemble(
-            "v_lshl_b32 v1, v0, 2\nv_cvt_f32_i32 v2, v0\nbuffer_store_dword v2, v1, s0\ns_endpgm",
-        )
-        .unwrap();
-        let mut engine = VerifiedEngine::new(Engine::new(EngineConfig::miaow()));
-        let report = engine.verify(&k, 1);
-        assert!(report.is_clean());
-        let bound = report
-            .cycle_bound
-            .expect("analyzed")
-            .as_bounded()
-            .expect("straight-line kernel is bounded");
-        assert_eq!(report.lane_disjointness, Some(LaneDisjointness::Disjoint));
-        assert!(!report
-            .warnings()
-            .any(|f| matches!(f.kind, FindingKind::Unbounded | FindingKind::MayInterfere)));
-
-        // The bound covers an actual launch.
-        let mut mem = GpuMemory::new(1024);
-        let stats = engine.launch(&k, 1, &[0], &mut mem).expect("runs");
-        let busy = stats.cycles - engine.engine().config().dispatch_overhead;
-        assert!(busy <= bound, "{busy} cycles exceed the bound {bound}");
-    }
-
-    #[test]
-    fn unbounded_kernels_get_a_warning_and_no_bound() {
-        let spin = assemble("spin:\ns_branch spin\ns_endpgm").unwrap();
-        let mut engine = VerifiedEngine::new(Engine::new(EngineConfig::miaow()));
-        let report = engine.verify(&spin, 0);
-        assert!(report.is_clean(), "unbounded is a warning, not an error");
-        assert!(report.warnings().any(|f| f.kind == FindingKind::Unbounded));
-        assert!(matches!(
-            report.cycle_bound,
-            Some(CycleBound::Unbounded { .. })
-        ));
     }
 
     #[test]

@@ -11,14 +11,9 @@
 //!    configuration the SoC builds is provably trap-free.
 
 use proptest::prelude::*;
-use proptest::TestCaseError;
 
-use rtad_analysis::{
-    cycle_bound, lane_disjointness, static_features, Cfg, CycleBound, FindingKind, LaunchError,
-    VerifiedEngine,
-};
+use rtad_analysis::{static_features, Cfg, FindingKind, LaunchError, VerifiedEngine};
 use rtad_miaow::asm::assemble;
-use rtad_miaow::exec::CostModel;
 use rtad_miaow::{
     ComputeUnit, CoverageSet, Dispatch, Engine, EngineConfig, Feature, GpuMemory, TrimPlan,
 };
@@ -109,34 +104,6 @@ proptest! {
             cov.difference(&stat)
         );
     }
-
-    /// The static per-wave cycle bound dominates any dynamic run: the
-    /// generated kernels only loop on immediate bounds, so the bound
-    /// analysis must prove them, and no wave — whatever its index —
-    /// may exceed the proven cycles.
-    #[test]
-    fn static_cycle_bound_covers_any_dynamic_run(src in arb_kernel(), wave in 0usize..4) {
-        let kernel = assemble(&src).expect("generated source assembles");
-        let bound = cycle_bound(&kernel, &CostModel::default(), None);
-        let CycleBound::Bounded(limit) = bound else {
-            return Err(TestCaseError::fail(format!(
-                "immediate-bounded loop not proven: {bound}"
-            )));
-        };
-
-        let mut cu = ComputeUnit::new();
-        cu.write_lds_f32_slice(0, &[1.5; 64]);
-        let mut mem = GpuMemory::new(2048);
-        let mut cov = CoverageSet::new();
-        let stats = cu
-            .run_wave_indexed(&kernel, &Dispatch::single_wave(&[0, 512]), wave, &mut mem, &mut cov)
-            .expect("generated kernels terminate");
-        prop_assert!(
-            stats.cycles <= limit,
-            "wave {wave} ran {} cycles past the proven bound {limit}",
-            stats.cycles
-        );
-    }
 }
 
 fn trained_elm_device() -> ElmDevice {
@@ -158,6 +125,20 @@ fn trained_lstm_device() -> LstmDevice {
     LstmDevice::compile(&Lstm::train(&cfg, &corpus, 5))
 }
 
+/// The trim plan merged from profiling both device models on the full
+/// engine (Fig. 4 steps 1-2).
+fn merged_plan(elm: &ElmDevice, lstm: &LstmDevice) -> TrimPlan {
+    let mut profiler = Engine::new(EngineConfig::miaow());
+    let mut mem = elm.load(&mut profiler);
+    elm.infer(&mut profiler, &mut mem, &[0.05; 16])
+        .expect("ELM profiles");
+    let mut mem = lstm.load(&mut profiler);
+    lstm.reset(&mut mem);
+    lstm.step(&mut profiler, &mut mem, 0)
+        .expect("LSTM profiles");
+    TrimPlan::from_coverage(profiler.observed_coverage())
+}
+
 /// Fig. 4's trimming contract, proven statically: the trim plan merged
 /// from profiling both device models accepts every kernel either model
 /// ships, so ML-MIAOW can never trap on its own workload.
@@ -165,17 +146,7 @@ fn trained_lstm_device() -> LstmDevice {
 fn shipped_kernels_verify_against_their_merged_coverage_plan() {
     let elm = trained_elm_device();
     let lstm = trained_lstm_device();
-
-    // Profile both models on the full engine (Fig. 4 steps 1-2).
-    let mut profiler = Engine::new(EngineConfig::miaow());
-    let mut mem = elm.load(&mut profiler);
-    elm.infer(&mut profiler, &mut mem, &[0.05; 16])
-        .expect("ELM profiles");
-    let mut mem = lstm.load(&mut profiler);
-    lstm.reset(&mut mem);
-    lstm.step(&mut profiler, &mut mem, 0)
-        .expect("LSTM profiles");
-    let plan = TrimPlan::from_coverage(profiler.observed_coverage());
+    let plan = merged_plan(&elm, &lstm);
 
     elm.verify_against(&plan)
         .expect("every ELM kernel proves trim-compatible");
@@ -183,43 +154,16 @@ fn shipped_kernels_verify_against_their_merged_coverage_plan() {
         .expect("every LSTM kernel proves trim-compatible");
 }
 
-/// Satellite acceptance: every shipped ELM/LSTM device kernel earns
-/// both resource certificates — a finite static cycle bound and a
-/// lane-disjointness proof — and the bound dominates the cycles any
-/// wave actually spends, on the full engine and on a CU trimmed to the
-/// merged shipped-workload plan.
+/// Every shipped ELM/LSTM device kernel runs fault-free at any wave
+/// index, with arbitrary (here: all-zero) arguments, on both the full
+/// datapath and a CU trimmed to the merged shipped-workload plan.
 #[test]
-fn shipped_kernels_are_bounded_disjoint_and_bounds_dominate_runtime() {
+fn shipped_kernels_run_fault_free_on_full_and_trimmed_cus() {
     let elm = trained_elm_device();
     let lstm = trained_lstm_device();
+    let plan = merged_plan(&elm, &lstm);
 
-    let mut profiler = Engine::new(EngineConfig::miaow());
-    let mut mem = elm.load(&mut profiler);
-    elm.infer(&mut profiler, &mut mem, &[0.05; 16])
-        .expect("ELM profiles");
-    let mut mem = lstm.load(&mut profiler);
-    lstm.reset(&mut mem);
-    lstm.step(&mut profiler, &mut mem, 0)
-        .expect("LSTM profiles");
-    let plan = TrimPlan::from_coverage(profiler.observed_coverage());
-
-    let cost = CostModel::default();
-    let kernels: Vec<_> = elm.kernels().into_iter().chain(lstm.kernels()).collect();
-    for kernel in kernels {
-        let bound = cycle_bound(kernel, &cost, None);
-        let CycleBound::Bounded(limit) = bound else {
-            panic!("`{}` has no static cycle bound: {bound}", kernel.name);
-        };
-        assert!(
-            lane_disjointness(kernel).is_disjoint(),
-            "`{}` is not lane-disjoint",
-            kernel.name
-        );
-
-        // The bound is launch-independent: it must dominate waves at
-        // any index, with arbitrary (here: all-zero) arguments, on both
-        // the full and the trimmed datapath. Traps and faults only
-        // shorten execution, so a clean run is the worst case.
+    for kernel in elm.kernels().into_iter().chain(lstm.kernels()) {
         let cus = [
             ComputeUnit::new(),
             ComputeUnit::trimmed(plan.retained().clone()),
@@ -228,21 +172,14 @@ fn shipped_kernels_are_bounded_disjoint_and_bounds_dominate_runtime() {
             for wave in 0..3 {
                 let mut mem = GpuMemory::new(1 << 20);
                 let mut cov = CoverageSet::new();
-                let stats = cu
-                    .run_wave_indexed(
-                        kernel,
-                        &Dispatch::single_wave(&[0; 16]),
-                        wave,
-                        &mut mem,
-                        &mut cov,
-                    )
-                    .unwrap_or_else(|e| panic!("`{}` wave {wave} faulted: {e}", kernel.name));
-                assert!(
-                    stats.cycles <= limit,
-                    "`{}` wave {wave}: {} cycles exceed proven bound {limit}",
-                    kernel.name,
-                    stats.cycles
-                );
+                cu.run_wave_indexed(
+                    kernel,
+                    &Dispatch::single_wave(&[0; 16]),
+                    wave,
+                    &mut mem,
+                    &mut cov,
+                )
+                .unwrap_or_else(|e| panic!("`{}` wave {wave} faulted: {e}", kernel.name));
             }
         }
     }

@@ -1,15 +1,14 @@
-//! CI verifier smoke: the static resource analyses over every shipped
-//! device kernel.
+//! CI verifier smoke: the load-time verdict over every shipped device
+//! kernel.
 //!
 //! This is the job the CI workflow runs (`cargo test --release -p
 //! rtad-analysis --test verifier_smoke`): it fails the build if any
-//! kernel a device model ships loses its finite cycle bound or its
-//! lane-disjointness certificate — i.e. if a kernel change would leave
-//! only the engine's watchdog to bound it, or let two of its lanes
-//! write the same bytes.
+//! kernel a device model ships stops analyzing clean, or needs a
+//! feature the trim plan profiled from the shipped workload deletes —
+//! i.e. if a kernel change would be refused at load time on ML-MIAOW.
 
-use rtad_analysis::{analyze, cycle_bound, lane_disjointness, CycleBound, FindingKind};
-use rtad_miaow::exec::CostModel;
+use rtad_analysis::analyze_against_plan;
+use rtad_miaow::{Engine, EngineConfig, TrimPlan};
 use rtad_ml::{DeviceModel, Elm, ElmConfig, ElmDevice, Lstm, LstmConfig, LstmDevice};
 
 fn shipped_devices() -> (ElmDevice, LstmDevice) {
@@ -30,38 +29,30 @@ fn shipped_devices() -> (ElmDevice, LstmDevice) {
 }
 
 #[test]
-fn every_shipped_kernel_is_bounded_and_lane_disjoint() {
+fn every_shipped_kernel_is_clean_and_fits_the_shipped_trim_plan() {
     let (elm, lstm) = shipped_devices();
+
+    // The plan merged from profiling both models on the full engine.
+    let mut profiler = Engine::new(EngineConfig::miaow());
+    let mut mem = elm.load(&mut profiler);
+    elm.infer(&mut profiler, &mut mem, &[0.05; 16])
+        .expect("ELM profiles");
+    let mut mem = lstm.load(&mut profiler);
+    lstm.reset(&mut mem);
+    lstm.step(&mut profiler, &mut mem, 0)
+        .expect("LSTM profiles");
+    let plan = TrimPlan::from_coverage(profiler.observed_coverage());
+
     let kernels: Vec<_> = elm.kernels().into_iter().chain(lstm.kernels()).collect();
     assert_eq!(kernels.len(), 7, "3 ELM + 4 LSTM kernels ship");
-
-    let cost = CostModel::default();
     for kernel in kernels {
-        let bound = cycle_bound(kernel, &cost, None);
-        assert!(
-            matches!(bound, CycleBound::Bounded(_)),
-            "`{}`: {bound} — a shipped kernel lost its static cycle bound",
-            kernel.name
-        );
-        let lanes = lane_disjointness(kernel);
-        assert!(
-            lanes.is_disjoint(),
-            "`{}`: {lanes} — a shipped kernel lost its disjointness certificate",
-            kernel.name
-        );
-
-        // The full report agrees: clean, and free of resource warnings.
         // Every shipped kernel sees at most 10 user-data SGPRs
         // (LSTM_LAUNCH_ARGS; the ELM's 5 are a prefix).
-        let report = analyze(kernel, 10);
-        assert!(report.is_clean(), "`{}` has errors:\n{report}", kernel.name);
-        for f in &report.findings {
-            assert!(
-                f.kind != FindingKind::Unbounded && f.kind != FindingKind::MayInterfere,
-                "`{}` raised a resource finding: {f}",
-                kernel.name
-            );
-        }
-        assert_eq!(report.cycle_bound, Some(bound));
+        let report = analyze_against_plan(kernel, 10, &plan);
+        assert!(
+            report.findings.is_empty(),
+            "`{}` raised findings against the shipped plan:\n{report}",
+            kernel.name
+        );
     }
 }

@@ -4,9 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 
-use rtad_ml::{
-    Elm, ElmConfig, Lstm, LstmConfig, Mlp, MlpConfig, NgramModel, SequenceModel, VectorModel,
-};
+use rtad_ml::{Elm, ElmConfig, Lstm, LstmConfig, SequenceModel, VectorModel};
 
 fn histograms(n: usize) -> Vec<Vec<f32>> {
     (0..n)
@@ -29,16 +27,10 @@ fn bench_training(c: &mut Criterion) {
     group.bench_function("elm_closed_form", |b| {
         b.iter(|| Elm::train(&ElmConfig::rtad(), &data, 1));
     });
-    group.bench_function("mlp_backprop", |b| {
-        b.iter(|| Mlp::train(&MlpConfig::rtad(), &data, 1));
-    });
     group.bench_function("lstm_bptt_1_epoch", |b| {
         let mut cfg = LstmConfig::rtad();
         cfg.epochs = 1;
         b.iter(|| Lstm::train(&cfg, &corpus, 1));
-    });
-    group.bench_function("ngram", |b| {
-        b.iter(|| NgramModel::train(5, 64, &corpus));
     });
     group.finish();
 }
@@ -47,11 +39,9 @@ fn bench_scoring(c: &mut Criterion) {
     let data = histograms(400);
     let corpus: Vec<u32> = (0..2_000).map(|i| ((i * 7 + i / 3) % 64) as u32).collect();
     let elm = Elm::train(&ElmConfig::rtad(), &data, 1);
-    let mlp = Mlp::train(&MlpConfig::rtad(), &data, 1);
     let mut cfg = LstmConfig::rtad();
     cfg.epochs = 1;
     let mut lstm = Lstm::train(&cfg, &corpus, 1);
-    let mut ngram = NgramModel::train(5, 64, &corpus);
 
     let mut group = c.benchmark_group("score_per_event");
     group.throughput(Throughput::Elements(1));
@@ -59,24 +49,12 @@ fn bench_scoring(c: &mut Criterion) {
         let x = &data[3];
         b.iter(|| elm.score(x));
     });
-    group.bench_function("mlp", |b| {
-        let x = &data[3];
-        b.iter(|| mlp.score(x));
-    });
     group.bench_function("lstm", |b| {
         lstm.reset();
         let mut t = 0u32;
         b.iter(|| {
             t = (t + 3) % 64;
             lstm.score_next(t)
-        });
-    });
-    group.bench_function("ngram", |b| {
-        ngram.reset();
-        let mut t = 0u32;
-        b.iter(|| {
-            t = (t + 3) % 64;
-            ngram.score_next(t)
         });
     });
     group.finish();

@@ -74,7 +74,7 @@ impl Hasher for AddrHasher {
 /// use rtad_igm::AddressMapper;
 /// use rtad_trace::VirtAddr;
 ///
-/// let mapper = AddressMapper::from_targets([VirtAddr::new(0x100), VirtAddr::new(0x200)]);
+/// let mapper = AddressMapper::from_entries([(VirtAddr::new(0x100), 0), (VirtAddr::new(0x200), 1)]);
 /// assert_eq!(mapper.map(VirtAddr::new(0x100)), Some(0));
 /// assert_eq!(mapper.map(VirtAddr::new(0x200)), Some(1));
 /// assert_eq!(mapper.map(VirtAddr::new(0x999)), None); // filtered
@@ -85,21 +85,6 @@ pub struct AddressMapper {
 }
 
 impl AddressMapper {
-    /// Builds a table assigning consecutive tokens to `targets` in
-    /// iteration order. Duplicate addresses keep their first token.
-    pub fn from_targets<I: IntoIterator<Item = VirtAddr>>(targets: I) -> Self {
-        let mut table = HashMap::default();
-        let mut next = 0u32;
-        for a in targets {
-            table.entry(a).or_insert_with(|| {
-                let t = next;
-                next += 1;
-                t
-            });
-        }
-        AddressMapper { table }
-    }
-
     /// Builds a table from explicit `(address, token)` entries. Several
     /// addresses may share one token — how a deployment maps a large
     /// class of addresses (e.g. every non-entry instruction address, as
@@ -388,11 +373,11 @@ mod tests {
 
     #[test]
     fn mapper_assigns_stable_tokens() {
-        let m = AddressMapper::from_targets([
-            VirtAddr::new(0x10),
-            VirtAddr::new(0x20),
-            VirtAddr::new(0x10), // duplicate keeps first token
-            VirtAddr::new(0x30),
+        let m = AddressMapper::from_entries([
+            (VirtAddr::new(0x10), 0),
+            (VirtAddr::new(0x20), 1),
+            (VirtAddr::new(0x10), 2), // duplicate keeps first token
+            (VirtAddr::new(0x30), 2),
         ]);
         assert_eq!(m.vocab_size(), 3);
         assert_eq!(m.map(VirtAddr::new(0x10)), Some(0));
@@ -436,7 +421,7 @@ mod tests {
 
     #[test]
     fn ivg_filters_and_timestamps() {
-        let mapper = AddressMapper::from_targets([VirtAddr::new(0x100)]);
+        let mapper = AddressMapper::from_entries([(VirtAddr::new(0x100), 0)]);
         let mut ivg =
             InputVectorGenerator::new(mapper, VectorFormat::TokenStream, ClockDomain::rtad_mlpu());
         assert!(ivg.process(&decoded(0x999, 8)).is_none());

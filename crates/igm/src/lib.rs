@@ -56,7 +56,5 @@ pub mod ta;
 pub use ivg::{AddressMapper, InputVectorGenerator, VectorEncoder, VectorFormat, VectorPayload};
 pub use module::{Igm, IgmConfig, IgmOutput, IgmStats, TimedVector};
 pub use p2s::P2sConverter;
-pub use streaming::{
-    IgmSession, IgmShared, StreamedVector, StreamingIgm, StreamingStats, StreamingVectorizer,
-};
+pub use streaming::{IgmSession, IgmShared, StreamedVector, StreamingIgm, StreamingStats};
 pub use ta::{DecodedAddress, TraceAnalyzer};

@@ -17,17 +17,12 @@
 //! sequence it emits is therefore identical to `process_trace`'s,
 //! payload for payload — pinned by this module's tests — while doing no
 //! `Picos` arithmetic and no per-word allocation.
-//!
-//! [`StreamingVectorizer`] is the record-level functional path (mapper +
-//! encoder over [`BranchRecord`]s, no PTM bytes at all), matching
-//! `rtad-soc`'s `functional_vectors` semantics for tests and benches
-//! that start from raw branch runs.
 
 use std::mem::size_of;
 
 use rtad_trace::ptm::{Decoded, PacketDecoder};
 use rtad_trace::tpiu::{TpiuDeframer, FRAME_BYTES};
-use rtad_trace::{BranchRecord, VirtAddr};
+use rtad_trace::VirtAddr;
 
 use crate::ivg::{AddressMapper, VectorEncoder, VectorPayload};
 use crate::module::IgmConfig;
@@ -440,48 +435,12 @@ impl StreamingIgm {
     }
 }
 
-/// The record-level functional path: mapper + encoder straight over
-/// [`BranchRecord`]s, bypassing PTM encode/decode entirely. Equivalent
-/// to the byte-level paths whenever the PTM round trip is lossless
-/// (which the trace crate's tests prove for well-formed runs).
-#[derive(Debug, Clone)]
-pub struct StreamingVectorizer {
-    mapper: AddressMapper,
-    encoder: VectorEncoder,
-    context_filter: Option<u32>,
-}
-
-impl StreamingVectorizer {
-    /// Builds the functional chain from an IGM configuration.
-    pub fn new(config: &IgmConfig) -> Self {
-        let mapper = AddressMapper::from_entries(config.table.iter().copied());
-        let vocab = mapper.vocab_size().max(1);
-        StreamingVectorizer {
-            encoder: VectorEncoder::new(config.format, vocab),
-            mapper,
-            context_filter: config.context_filter,
-        }
-    }
-
-    /// Maps and encodes one branch record; `None` means it was filtered
-    /// (wrong context or unmapped target).
-    pub fn push_record(&mut self, record: &BranchRecord) -> Option<VectorPayload> {
-        if let Some(ctx) = self.context_filter {
-            if record.context_id != ctx {
-                return None;
-            }
-        }
-        let token = self.mapper.map(record.target)?;
-        Some(self.encoder.encode(token))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::module::Igm;
     use crate::VectorFormat;
-    use rtad_trace::{BranchKind, PtmConfig, StreamEncoder};
+    use rtad_trace::{BranchKind, BranchRecord, PtmConfig, StreamEncoder};
 
     fn run_with_targets(n: usize) -> (Vec<BranchRecord>, Vec<VirtAddr>) {
         let targets: Vec<VirtAddr> = (0..8u32)
@@ -707,10 +666,14 @@ mod tests {
         byte_level.push_bytes(&bytes, &mut got);
         byte_level.finish(&mut got);
 
-        let mut record_level = StreamingVectorizer::new(&config);
+        // The record-level reference: context filter, mapper and encoder
+        // straight over the branch records, no PTM bytes at all.
+        let mapper = AddressMapper::from_entries(config.table.iter().copied());
+        let mut encoder = VectorEncoder::new(config.format, mapper.vocab_size().max(1));
         let functional: Vec<VectorPayload> = run
             .iter()
-            .filter_map(|r| record_level.push_record(r))
+            .filter(|r| Some(r.context_id) == config.context_filter)
+            .filter_map(|r| mapper.map(r.target).map(|token| encoder.encode(token)))
             .collect();
 
         assert_eq!(got.len(), functional.len());

@@ -249,11 +249,6 @@ impl<B: InferenceEngine> Mcm<B> {
         &self.backend
     }
 
-    /// Consumes the MCM, returning the backend.
-    pub fn into_backend(self) -> B {
-        self.backend
-    }
-
     /// Runs the backend's load-time verification
     /// ([`InferenceEngine::preflight`]) — call once after construction,
     /// before streaming vectors.

@@ -216,27 +216,6 @@ impl Engine {
         self.config.retained = retained;
     }
 
-    /// Enables or disables per-CU write-race logging (debug builds
-    /// only): every store instruction's active-lane writes are checked
-    /// for cross-lane overlap, cross-validating static
-    /// lane-disjointness certificates during test runs.
-    #[cfg(debug_assertions)]
-    pub fn set_race_logging(&mut self, on: bool) {
-        for cu in &mut self.cus {
-            cu.set_race_logging(on);
-        }
-    }
-
-    /// Drains the write races every CU observed since the last call
-    /// (debug builds only).
-    #[cfg(debug_assertions)]
-    pub fn take_races(&mut self) -> Vec<crate::exec::LaneRace> {
-        self.cus
-            .iter_mut()
-            .flat_map(ComputeUnit::take_races)
-            .collect()
-    }
-
     /// Total engine area (per-CU area × CU count).
     pub fn area(&self) -> AreaEstimate {
         let per_cu = match &self.config.retained {

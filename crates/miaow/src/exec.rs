@@ -221,26 +221,6 @@ impl fmt::Display for ExecError {
 
 impl Error for ExecError {}
 
-/// Debug-build record of one observed cross-lane write conflict: two
-/// active lanes of the same wide store wrote overlapping 4-byte regions
-/// with different contents. The static lane-interference analysis
-/// (`rtad-analysis`) proves such conflicts impossible for kernels it
-/// certifies `Disjoint`; this dynamic log is the test-time
-/// cross-validation of that certificate. Identical-value overlaps are
-/// not conflicts — a uniform broadcast store commutes across lanes.
-#[cfg(debug_assertions)]
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LaneRace {
-    /// Instruction index of the store.
-    pub pc: usize,
-    /// The lower of the two conflicting byte addresses.
-    pub addr: u64,
-    /// The conflicting lane pair, ascending.
-    pub lanes: (usize, usize),
-    /// Whether the store targeted the LDS (else device memory).
-    pub lds: bool,
-}
-
 /// Architectural state of one wavefront. Fixed-size arrays (not heap
 /// vectors): a wave's register file lives on the worker's stack, so the
 /// per-wave setup of the per-event inference launches is a memset, not
@@ -286,11 +266,6 @@ pub struct ComputeUnit {
     /// Retained features; `None` = untrimmed (full MIAOW).
     retained: Option<CoverageSet>,
     lds: Vec<u8>,
-    /// Debug-build write-log race checker: when `Some`, every wide
-    /// store appends observed cross-lane conflicts ([`LaneRace`]).
-    /// `None` (the default) keeps the hot path free of logging.
-    #[cfg(debug_assertions)]
-    race_log: Option<Vec<LaneRace>>,
 }
 
 impl ComputeUnit {
@@ -300,8 +275,6 @@ impl ComputeUnit {
             cost: CostModel::miaow(),
             retained: None,
             lds: vec![0; LDS_BYTES],
-            #[cfg(debug_assertions)]
-            race_log: None,
         }
     }
 
@@ -312,8 +285,6 @@ impl ComputeUnit {
             cost: CostModel::miaow(),
             retained: Some(retained),
             lds: vec![0; LDS_BYTES],
-            #[cfg(debug_assertions)]
-            race_log: None,
         }
     }
 
@@ -328,52 +299,6 @@ impl ComputeUnit {
     /// contents.
     pub(crate) fn set_retained(&mut self, retained: Option<CoverageSet>) {
         self.retained = retained;
-    }
-
-    /// Enables (or disables) the debug-build write-log race checker.
-    /// While enabled, every wide store records observed cross-lane
-    /// write conflicts; drain them with [`ComputeUnit::take_races`].
-    #[cfg(debug_assertions)]
-    pub fn set_race_logging(&mut self, on: bool) {
-        self.race_log = on.then(Vec::new);
-    }
-
-    /// Drains the recorded lane races, leaving logging enabled.
-    #[cfg(debug_assertions)]
-    pub fn take_races(&mut self) -> Vec<LaneRace> {
-        self.race_log
-            .as_mut()
-            .map(std::mem::take)
-            .unwrap_or_default()
-    }
-
-    /// Scans one wide store's per-lane (address, value) writes for
-    /// overlapping 4-byte accesses with differing contents. O(lanes²)
-    /// per store, debug builds only, and only when logging is enabled.
-    #[cfg(debug_assertions)]
-    fn log_wide_store(
-        &mut self,
-        pc: usize,
-        writes: &[Option<(u64, u32)>; WAVEFRONT_LANES],
-        lds: bool,
-    ) {
-        let Some(log) = self.race_log.as_mut() else {
-            return;
-        };
-        for (i, wi) in writes.iter().enumerate() {
-            let Some((ai, vi)) = *wi else { continue };
-            for (j, wj) in writes.iter().enumerate().skip(i + 1) {
-                let Some((aj, vj)) = *wj else { continue };
-                if ai.abs_diff(aj) < 4 && !(ai == aj && vi == vj) {
-                    log.push(LaneRace {
-                        pc,
-                        addr: ai.min(aj),
-                        lanes: (i, j),
-                        lds,
-                    });
-                }
-            }
-        }
     }
 
     /// Direct LDS staging: the MCM driver preloads model weights into
@@ -392,12 +317,6 @@ impl ComputeUnit {
             let a = addr + i * 4;
             self.lds[a..a + 4].copy_from_slice(&v.to_bits().to_le_bytes());
         }
-    }
-
-    /// Reads back LDS contents (test/verification support).
-    pub fn read_lds_f32(&self, addr: usize) -> f32 {
-        let bytes: [u8; 4] = self.lds[addr..addr + 4].try_into().expect("4 bytes");
-        f32::from_bits(u32::from_le_bytes(bytes))
     }
 
     /// Runs a kernel dispatch to completion, accumulating coverage.
@@ -773,25 +692,15 @@ impl ComputeUnit {
             }
             Instr::BufferStoreDword { src, vaddr, sbase } => {
                 let base = u64::from(st.sgpr[sbase.0 as usize]);
-                #[cfg(debug_assertions)]
-                let mut writes = [None; WAVEFRONT_LANES];
-                #[allow(clippy::needless_range_loop)] // `writes` is debug-only race-log state
                 for lane in 0..WAVEFRONT_LANES {
                     if active(st, lane) {
                         let addr = base + u64::from(st.vgpr[vaddr.0 as usize][lane]);
                         if !mem.contains(addr as usize) {
                             return Err(ExecError::BadAddress { addr, pc });
                         }
-                        let v = st.vgpr[src.0 as usize][lane];
-                        mem.write_u32(addr as usize, v);
-                        #[cfg(debug_assertions)]
-                        {
-                            writes[lane] = Some((addr, v));
-                        }
+                        mem.write_u32(addr as usize, st.vgpr[src.0 as usize][lane]);
                     }
                 }
-                #[cfg(debug_assertions)]
-                self.log_wide_store(pc, &writes, false);
             }
             Instr::DsReadB32 { dst, addr } => {
                 for lane in 0..WAVEFRONT_LANES {
@@ -803,22 +712,12 @@ impl ComputeUnit {
                 }
             }
             Instr::DsWriteB32 { addr, src } => {
-                #[cfg(debug_assertions)]
-                let mut writes = [None; WAVEFRONT_LANES];
-                #[allow(clippy::needless_range_loop)] // `writes` is debug-only race-log state
                 for lane in 0..WAVEFRONT_LANES {
                     if active(st, lane) {
                         let a = u64::from(st.vgpr[addr.0 as usize][lane]);
-                        let v = st.vgpr[src.0 as usize][lane];
-                        self.lds_write(a, v, pc)?;
-                        #[cfg(debug_assertions)]
-                        {
-                            writes[lane] = Some((a, v));
-                        }
+                        self.lds_write(a, st.vgpr[src.0 as usize][lane], pc)?;
                     }
                 }
-                #[cfg(debug_assertions)]
-                self.log_wide_store(pc, &writes, true);
             }
             // Control flow handled by the caller.
             Instr::SEndpgm

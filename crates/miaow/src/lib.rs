@@ -85,8 +85,6 @@ pub use area::{variant_area, EngineVariant};
 pub use asm::{assemble, AssembleError};
 pub use coverage::{CoverageSet, Feature};
 pub use engine::{Engine, EngineConfig, LaunchStats, TierCensus};
-#[cfg(debug_assertions)]
-pub use exec::LaneRace;
 pub use exec::{ComputeUnit, Dispatch, ExecError, RunStats};
 pub use isa::{Instr, Kernel, WAVEFRONT_LANES};
 pub use memory::GpuMemory;

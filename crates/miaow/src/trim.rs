@@ -54,12 +54,6 @@ impl TrimPlan {
         &self.retained
     }
 
-    /// The features of `required` this plan does NOT retain — empty iff
-    /// a kernel needing exactly `required` runs trap-free on this plan.
-    pub fn missing_from(&self, required: &CoverageSet) -> Vec<Feature> {
-        required.difference(&self.retained)
-    }
-
     /// The features this plan deletes.
     pub fn trimmed_features(&self) -> Vec<Feature> {
         Feature::all()

@@ -14,12 +14,6 @@
 //!   vocabulary; the anomaly score of a branch is its negative log
 //!   likelihood. Trained with truncated BPTT + Adam. [`Lstm`].
 //!
-//! Two baselines widen the comparison (and exercise the same harness):
-//! an [`Mlp`] autoencoder trained by backprop (the model ELM is
-//! "more lightweight than"), and the classic STIDE-style [`NgramModel`]
-//! over syscall windows (Forrest et al.; the FSM flavour of Rahmatian et
-//! al.'s detector).
-//!
 //! [`kernels`] lowers ELM and LSTM inference onto the
 //! [MIAOW engine](rtad_miaow): generated assembly, an LDS weight image
 //! and a launch plan — the device path whose cycle counts drive Fig. 8
@@ -54,8 +48,6 @@ pub mod elm;
 pub mod kernels;
 pub mod linalg;
 pub mod lstm;
-pub mod mlp;
-pub mod ngram;
 pub mod score;
 
 pub use batch::{BatchArena, LstmLane};
@@ -63,11 +55,9 @@ pub use elm::{Elm, ElmConfig};
 pub use kernels::{DeviceInference, DeviceModel, DevicePlan, ElmDevice, LstmDevice};
 pub use linalg::Matrix;
 pub use lstm::{Lstm, LstmConfig};
-pub use mlp::{Mlp, MlpConfig};
-pub use ngram::NgramModel;
 pub use score::{calibrate_threshold, Detection, ThresholdPolicy};
 
-/// A model scoring a token stream, one event at a time (LSTM, n-gram).
+/// A model scoring a token stream, one event at a time (the LSTM).
 ///
 /// `score_next` returns the *surprise* of seeing `token` given the
 /// history — higher means more anomalous. Implementations carry the
@@ -81,7 +71,7 @@ pub trait SequenceModel {
     fn vocab(&self) -> usize;
 }
 
-/// A model scoring a dense feature vector (ELM, MLP autoencoders).
+/// A model scoring a dense feature vector (the ELM autoencoder).
 pub trait VectorModel {
     /// Anomaly score of one input vector — higher means more anomalous.
     fn score(&self, x: &[f32]) -> f64;

@@ -107,15 +107,6 @@ impl Matrix {
         &mut self.data
     }
 
-    /// Consumes the matrix, returning its flat row-major buffer.
-    ///
-    /// Arenas move a scratch buffer into a [`Matrix::from_vec`] view for
-    /// the duration of a batch and reclaim it here — no copy, no
-    /// allocation in either direction.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Row `i` as a slice.
     ///
     /// # Panics

@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 
-use rtad_ml::{Elm, ElmConfig, Lstm, LstmConfig, Matrix, NgramModel, SequenceModel, VectorModel};
+use rtad_ml::{Elm, ElmConfig, Lstm, LstmConfig, Matrix, SequenceModel, VectorModel};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
@@ -87,22 +87,6 @@ proptest! {
             perturbed[(j, 0)] += n;
         }
         prop_assert!(obj_solution <= objective(&perturbed) + 1e-4);
-    }
-
-    /// The n-gram model never flags windows it was trained on, for any
-    /// corpus; and its state resets cleanly.
-    #[test]
-    fn ngram_accepts_its_training_corpus(
-        corpus in proptest::collection::vec(0u32..6, 8..120),
-        n in 2usize..6,
-    ) {
-        let mut m = NgramModel::train(n, 6, &corpus);
-        m.reset();
-        let total: f64 = corpus.iter().map(|&t| m.score_next(t)).sum();
-        prop_assert_eq!(total, 0.0);
-        m.reset();
-        let again: f64 = corpus.iter().map(|&t| m.score_next(t)).sum();
-        prop_assert_eq!(again, 0.0);
     }
 
     /// Matrix transpose is an involution and matvec agrees with matmul

@@ -44,13 +44,6 @@ pub enum PushOutcome {
     WouldBlock,
 }
 
-impl PushOutcome {
-    /// Whether the pushed element ended up in the FIFO.
-    pub fn is_stored(self) -> bool {
-        matches!(self, PushOutcome::Stored | PushOutcome::EvictedOldest)
-    }
-}
-
 /// Lifetime statistics of a [`HwFifo`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct FifoStats {

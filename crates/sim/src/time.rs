@@ -102,11 +102,6 @@ impl Picos {
         Picos(self.0.saturating_sub(rhs.0))
     }
 
-    /// Checked addition, `None` on overflow.
-    pub fn checked_add(self, rhs: Picos) -> Option<Picos> {
-        self.0.checked_add(rhs.0).map(Picos)
-    }
-
     /// The later of two instants.
     pub fn max(self, rhs: Picos) -> Picos {
         Picos(self.0.max(rhs.0))
@@ -258,11 +253,6 @@ impl Hertz {
     /// The frequency in hertz.
     pub const fn as_hz(self) -> u64 {
         self.0
-    }
-
-    /// The frequency in (fractional) megahertz.
-    pub fn as_mhz_f64(self) -> f64 {
-        self.0 as f64 / 1e6
     }
 
     /// The clock period.

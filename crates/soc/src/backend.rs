@@ -13,10 +13,9 @@
 //!   are data-independent: every event executes the same instruction
 //!   count, so one measurement is exact for all.
 
-use rtad_analysis::{cycle_bound, lane_disjointness, trim_findings, Finding};
+use rtad_analysis::{trim_findings, Finding};
 use rtad_igm::VectorPayload;
 use rtad_mcm::{InferenceEngine, InferenceResult};
-use rtad_miaow::exec::CostModel;
 use rtad_miaow::{CoverageSet, Engine, EngineConfig, GpuMemory, TrimPlan};
 use rtad_ml::{DeviceModel, ElmDevice, LstmDevice, SequenceModel, VectorModel};
 use rtad_sim::{ClockDomain, Picos};
@@ -94,7 +93,7 @@ pub trait PayloadScorer {
     fn reset(&mut self);
 }
 
-/// [`PayloadScorer`] over a token-stream model (LSTM, n-gram).
+/// [`PayloadScorer`] over a token-stream model (the LSTM).
 #[derive(Debug, Clone)]
 pub struct SequenceBackendModel<M>(pub M);
 
@@ -273,51 +272,6 @@ pub enum DeviceBackend {
     },
 }
 
-/// One kernel's static resource certificates: the per-wave cycle bound
-/// (engine cost model, launch-independent arguments) and the
-/// lane-disjointness verdict. Every shipped ELM/LSTM kernel earns both;
-/// a `None` bound or `lane_disjoint: false` is a verifier finding, not
-/// a failure — the engine runs every kernel under its fixed watchdog
-/// either way.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct KernelResourceVerdict {
-    /// The kernel's name.
-    pub kernel: String,
-    /// The proven per-wave cycle bound, if the analysis found one.
-    pub bounded_cycles: Option<u64>,
-    /// Whether every store is provably lane-private or broadcast.
-    pub lane_disjoint: bool,
-}
-
-/// Runs the static resource analyses over a device model's kernels
-/// under a cost model, without touching any engine.
-pub fn resource_verdicts(
-    device: &impl DeviceModel,
-    cost: &CostModel,
-) -> Vec<KernelResourceVerdict> {
-    device
-        .kernels()
-        .into_iter()
-        .map(|k| KernelResourceVerdict {
-            kernel: k.name.clone(),
-            bounded_cycles: cycle_bound(k, cost, None).as_bounded(),
-            lane_disjoint: lane_disjointness(k).is_disjoint(),
-        })
-        .collect()
-}
-
-/// [`resource_verdicts`] under `engine`'s cost model. The engine is
-/// left untouched: it consumes no certificate. Kept only because the
-/// repository benchmark (`perfbench/`) is frozen and calls it; a later
-/// change to the benchmark ports it to [`resource_verdicts`] and
-/// deletes this wrapper.
-pub fn attest_model_kernels(
-    device: &impl DeviceModel,
-    engine: &mut Engine,
-) -> Vec<KernelResourceVerdict> {
-    resource_verdicts(device, &engine.config().cost)
-}
-
 /// The findings a device model's kernels raise against a retained
 /// feature set (empty when the engine is untrimmed).
 fn device_findings(device: &impl DeviceModel, retained: Option<&CoverageSet>) -> Vec<Finding> {
@@ -329,6 +283,15 @@ fn device_findings(device: &impl DeviceModel, retained: Option<&CoverageSet>) ->
             .flat_map(|k| trim_findings(k, retained))
             .collect(),
     }
+}
+
+/// The trim-incompatibility findings `device`'s kernels raise on
+/// `engine` (the proof [`DeviceBackend::try_lstm`] and
+/// [`DeviceBackend::try_elm`] run at load). Kept only because the
+/// repository benchmark (`perfbench/`) calls it; the engine is not
+/// modified.
+pub fn attest_model_kernels(device: &impl DeviceModel, engine: &mut Engine) -> Vec<Finding> {
+    device_findings(device, engine.retained())
 }
 
 impl DeviceBackend {
@@ -491,6 +454,7 @@ impl InferenceEngine for DeviceBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rtad_analysis::FindingKind;
     use rtad_ml::{Elm, ElmConfig, Lstm, LstmConfig};
 
     fn trained_pair() -> (ElmDevice, LstmDevice) {
@@ -568,30 +532,25 @@ mod tests {
     }
 
     #[test]
-    fn shipped_kernels_carry_resource_certificates() {
+    fn attest_model_kernels_reports_trim_findings() {
         let (elm, lstm) = trained_pair();
         let plan = profile_trim_plan(&elm, &lstm);
-
-        // The pure analysis proves every shipped kernel bounded and
-        // lane-disjoint...
-        for verdicts in [
-            resource_verdicts(&elm, &CostModel::default()),
-            resource_verdicts(&lstm, &CostModel::default()),
-        ] {
-            assert!(!verdicts.is_empty());
-            for v in verdicts {
-                assert!(v.bounded_cycles.is_some(), "`{}` unbounded", v.kernel);
-                assert!(v.lane_disjoint, "`{}` not lane-disjoint", v.kernel);
-            }
-        }
-
-        // ...and the benchmark's wrapper reports the same verdicts under
-        // the engine's cost model.
         let mut engine = Engine::new(EngineKind::MlMiaow.engine_config(&plan));
-        assert_eq!(
+        assert!(attest_model_kernels(&elm, &mut engine).is_empty());
+        assert!(attest_model_kernels(&lstm, &mut engine).is_empty());
+
+        // A core-only plan deletes features both models need.
+        let empty = TrimPlan::from_coverage(&CoverageSet::new());
+        let mut engine = Engine::new(EngineConfig::ml_miaow(&empty));
+        for findings in [
+            attest_model_kernels(&elm, &mut engine),
             attest_model_kernels(&lstm, &mut engine),
-            resource_verdicts(&lstm, &engine.config().cost)
-        );
+        ] {
+            assert!(!findings.is_empty());
+            assert!(findings
+                .iter()
+                .all(|f| f.kind == FindingKind::TrimIncompatible));
+        }
     }
 
     #[test]

@@ -24,7 +24,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use rtad_igm::{Igm, IgmConfig, TimedVector, VectorFormat, VectorPayload};
+use rtad_igm::{Igm, IgmConfig, TimedVector, VectorPayload};
 use rtad_mcm::{Mcm, McmConfig};
 use rtad_ml::{
     calibrate_threshold, Elm, ElmConfig, ElmDevice, Lstm, LstmConfig, LstmDevice, SequenceModel,
@@ -536,11 +536,6 @@ pub fn functional_vectors(config: &IgmConfig, records: &[BranchRecord]) -> Vec<V
         .iter()
         .filter_map(|r| mapper.map(r.target).map(|token| encoder.encode(token)))
         .collect()
-}
-
-/// Returns true when `format` produces dense payloads.
-pub fn is_dense(format: VectorFormat) -> bool {
-    matches!(format, VectorFormat::WindowHistogram { .. })
 }
 
 #[cfg(test)]

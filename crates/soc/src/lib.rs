@@ -64,8 +64,8 @@ pub mod watchlist;
 pub use area::{mlpu_total, rtad_module_inventory, ModuleArea};
 pub use backend::{
     attest_model_kernels, measure_elm_cycles, measure_lstm_cycles, profile_trim_plan,
-    resource_verdicts, DeviceBackend, EngineKind, HybridBackend, KernelResourceVerdict,
-    PayloadScorer, SequenceBackendModel, VectorBackendModel,
+    DeviceBackend, EngineKind, HybridBackend, PayloadScorer, SequenceBackendModel,
+    VectorBackendModel,
 };
 pub use detection::{
     DetectionConfig, DetectionOutcome, DetectionRun, ModelKind, PreparedDetection,

@@ -72,11 +72,6 @@ impl<'a> TraceGenerator<'a> {
         self.context_id
     }
 
-    /// Overrides the reported context ID.
-    pub fn set_context_id(&mut self, ctx: u32) {
-        self.context_id = ctx;
-    }
-
     /// Collects the next `n` branch records.
     pub fn take_records(&mut self, n: usize) -> Vec<BranchRecord> {
         (0..n).map(|_| self.step()).collect()

@@ -257,11 +257,6 @@ impl BenchProfile {
         1.0 / (self.branch_density * self.ipc)
     }
 
-    /// Taken branches per second at the given CPU frequency.
-    pub fn branches_per_second(&self, cpu_hz: f64) -> f64 {
-        cpu_hz / self.mean_cycles_per_branch()
-    }
-
     /// Checks internal consistency.
     ///
     /// # Panics
