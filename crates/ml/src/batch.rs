@@ -1,9 +1,9 @@
 //! Cross-stream batched inference for the serving pipeline.
 //!
 //! A detection host multiplexing many victim streams scores one window
-//! per stream per tick. Scoring each window with a separate
-//! [`Matrix::matvec`] pays per-call dispatch (and for the LSTM, per-step
-//! temporary allocation) B times. The batch kernels instead lay the B
+//! per stream per tick. Scoring each window with its own single-vector
+//! step pays per-call dispatch and streams every weight matrix B
+//! times. The batch kernels instead lay the B
 //! ready windows out **one stream per lane**, as the paper's engine lays
 //! inputs across the SIMD lanes of a wavefront: the operand of each
 //! layer is a lane-major `k × B` buffer (element `j` of every stream's
@@ -35,7 +35,7 @@
 use std::iter::repeat_n;
 
 use crate::elm::{sigmoid, Elm};
-use crate::lstm::{dev_tanh, softmax_clipped_in_place, Lstm};
+use crate::lstm::{cell_unit, softmax_clipped_in_place, Lstm};
 
 // A serving pipeline may move to its own thread (one per traced CPU)
 // together with its batch arena and per-stream LSTM lanes. Both are
@@ -345,23 +345,20 @@ impl Lstm {
         arena.p1.resize(4 * hd * b, 0.0);
         self.u().matmul_lanes(&arena.lanes, b, &mut arena.p1);
 
-        // z = Wx + Uh + b, gates i,f,g,o — the scalar step's arithmetic
-        // in its order, with Wx gathered from the table. Each new hidden
-        // state also lands in its lane of the stack for the logits.
+        // The scalar step's elementwise stage per lane (`cell_unit`),
+        // with Wx gathered from the table and Uh read from the lane's
+        // column. Each new hidden state also lands in its lane of the
+        // stack for the logits.
         let table = self.wx_table();
         let bias = self.b();
         let uh = &arena.p1;
         for (slot, (&li, &t)) in idx.iter().zip(tokens).enumerate() {
             let wx = table.row(t as usize);
-            let z = |r: usize| wx[r] + uh[r * b + slot] + bias[r];
             let (h, c, _) = lanes[li].parts_mut();
             for (j, (h, c)) in h.iter_mut().zip(c.iter_mut()).enumerate() {
-                let i = sigmoid(z(j));
-                let f = sigmoid(z(hd + j));
-                let g = dev_tanh(z(2 * hd + j));
-                let o = sigmoid(z(3 * hd + j));
-                *c = f * *c + i * g;
-                *h = o * dev_tanh(*c);
+                let unit = cell_unit(wx, |r| uh[r * b + slot], bias, j, *c);
+                *c = unit.c;
+                *h = unit.h;
                 arena.lanes[j * b + slot] = *h;
             }
         }

@@ -85,6 +85,12 @@ pub struct Elm {
     /// Solved output weights, stored transposed as
     /// `input_dim × hidden` so reconstruction is one matvec.
     w_out: Matrix,
+    /// `w_inᵀ` (`input_dim × hidden`) and `w_outᵀ` (`hidden ×
+    /// input_dim`): scoring one vector runs both layers through
+    /// [`Matrix::matvec_t_into`], one output per lane. Derived at the
+    /// end of training; device lowering reads `w_in` and `w_out`.
+    w_in_t: Matrix,
+    w_out_t: Matrix,
 }
 
 impl Elm {
@@ -102,28 +108,30 @@ impl Elm {
         let mut b_in = Matrix::zeros(1, config.hidden);
         b_in.randomize(&mut rng, 0.5);
         let b_in: Vec<f32> = b_in.as_slice().to_vec();
+        let w_in_t = w_in.transpose();
 
         // H: n × hidden, X: n × input_dim.
         let n = normal.len();
         let mut h = Matrix::zeros(n, config.hidden);
         let mut x = Matrix::zeros(n, config.input_dim);
-        for (r, v) in normal.iter().enumerate() {
+        let rows = h
+            .as_mut_slice()
+            .chunks_exact_mut(config.hidden)
+            .zip(x.as_mut_slice().chunks_exact_mut(config.input_dim));
+        for (r, ((hrow, xrow), v)) in rows.zip(normal).enumerate() {
             assert_eq!(v.len(), config.input_dim, "training vector {r} width");
-            let hidden = hidden_features(&w_in, &b_in, v);
-            for (j, hv) in hidden.iter().enumerate() {
-                h[(r, j)] = *hv;
-            }
-            for (j, xv) in v.iter().enumerate() {
-                x[(r, j)] = *xv;
-            }
+            hidden_features(&w_in_t, &b_in, v, hrow);
+            xrow.copy_from_slice(v);
         }
-        let w_out = Matrix::ridge_solve(&h, &x, config.lambda);
+        let w_out_t = Matrix::ridge_solve(&h, &x, config.lambda);
 
         Elm {
             config: *config,
             w_in,
             b_in,
-            w_out: w_out.transpose(),
+            w_out: w_out_t.transpose(),
+            w_in_t,
+            w_out_t,
         }
     }
 
@@ -152,14 +160,15 @@ impl Elm {
     /// The hidden activations for one input (the device kernel's first
     /// stage; exposed for equivalence testing).
     pub fn hidden(&self, x: &[f32]) -> Vec<f32> {
-        hidden_features(&self.w_in, &self.b_in, x)
+        let mut h = vec![0.0; self.config.hidden];
+        hidden_features(&self.w_in_t, &self.b_in, x, &mut h);
+        h
     }
 
     /// The reconstruction of one input.
     pub fn reconstruct(&self, x: &[f32]) -> Vec<f32> {
         let h = self.hidden(x);
-        // w_out is stored input_dim × hidden.
-        self.w_out.matvec(&h)
+        self.w_out_t.matvec_t(&h)
     }
 }
 
@@ -181,13 +190,13 @@ impl VectorModel for Elm {
     }
 }
 
-/// sigmoid(W·x + b), shared by host and the device-lowering layout.
-fn hidden_features(w: &Matrix, b: &[f32], x: &[f32]) -> Vec<f32> {
-    w.matvec(x)
-        .into_iter()
-        .zip(b)
-        .map(|(a, bias)| sigmoid(a + bias))
-        .collect()
+/// `sigmoid(W·x + b)` into `out`, with `W·x` through `w_t = Wᵀ`
+/// (bit-identical to `W.matvec(x)`).
+fn hidden_features(w_t: &Matrix, b: &[f32], x: &[f32], out: &mut [f32]) {
+    w_t.matvec_t_into(x, out);
+    for (a, bias) in out.iter_mut().zip(b) {
+        *a = sigmoid(*a + bias);
+    }
 }
 
 /// The logistic function, written exactly as the device computes it

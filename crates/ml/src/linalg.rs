@@ -2,7 +2,8 @@
 //!
 //! Row-major `f32` matrices with the handful of operations the models
 //! need: products (among them the lane-major batch product
-//! [`Matrix::matmul_lanes`]), transpose, and a ridge-regularized
+//! [`Matrix::matmul_lanes`] and its single-vector counterpart
+//! [`Matrix::matvec_t_into`]), transpose, and a ridge-regularized
 //! least-squares solver (the ELM's closed-form training step).
 //! Accumulations run in `f64` for stability; storage stays `f32` to
 //! match what the device kernels compute.
@@ -34,6 +35,10 @@ pub struct Matrix {
 /// accumulators, one per lane, fill four SSE2 registers and give four
 /// independent add chains.
 const LANE_BLOCK: usize = 8;
+
+/// Output columns per block in [`Matrix::matvec_t_into`]: sixteen `f64`
+/// accumulators, eight SSE2 registers, eight independent add chains.
+const COL_BLOCK: usize = 16;
 
 impl Matrix {
     /// A `rows × cols` zero matrix.
@@ -151,20 +156,70 @@ impl Matrix {
     }
 
     /// `selfᵀ * x` (saves materializing the transpose in hot paths).
+    /// Allocating wrapper over [`Matrix::matvec_t_into`].
     ///
     /// # Panics
     ///
     /// Panics if `x.len() != rows`.
     pub fn matvec_t(&self, x: &[f32]) -> Vec<f32> {
+        let mut out = vec![0.0; self.cols];
+        self.matvec_t_into(x, &mut out);
+        out
+    }
+
+    /// `selfᵀ * x` into a caller-owned buffer of exactly `cols`
+    /// elements: the single-vector product with **one output per
+    /// lane**.
+    ///
+    /// Output `j` is one `f64` sum from `+0.0` over the rows in order,
+    /// `x[0]·self[0][j] + x[1]·self[1][j] + …`, rounded to `f32` once —
+    /// the [`Matrix::matmul_lanes`] contract. So for `t = m.transpose()`,
+    /// `t.matvec_t_into(x, out)` equals `m.matvec(x)` bit for bit.
+    /// Storing a weight matrix transposed and multiplying through this
+    /// kernel lets the independent outputs advance side by side: blocks
+    /// of `COL_BLOCK` columns keep their accumulators in vector
+    /// registers while each row contributes one contiguous slice,
+    /// instead of one latency-bound add chain per output row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x.len() != rows` or `out.len() != cols`.
+    pub fn matvec_t_into(&self, x: &[f32], out: &mut [f32]) {
         assert_eq!(x.len(), self.rows, "matvec_t dimension mismatch");
-        let mut out = vec![0f64; self.cols];
-        for (&xv, row) in x.iter().zip(self.data.chunks_exact(self.cols)) {
-            let xi = f64::from(xv);
-            for (o, a) in out.iter_mut().zip(row) {
-                *o += xi * f64::from(*a);
+        assert_eq!(out.len(), self.cols, "matvec_t output length");
+        let full = self.cols - self.cols % COL_BLOCK;
+        for (c0, oblock) in (0..full)
+            .step_by(COL_BLOCK)
+            .zip(out.chunks_exact_mut(COL_BLOCK))
+        {
+            let mut acc = [0f64; COL_BLOCK];
+            for (&xv, row) in x.iter().zip(self.data.chunks_exact(self.cols)) {
+                let xi = f64::from(xv);
+                let ws: &[f32; COL_BLOCK] = row[c0..c0 + COL_BLOCK]
+                    .try_into()
+                    .expect("block inside the row");
+                for (a, &w) in acc.iter_mut().zip(ws) {
+                    *a += xi * f64::from(w);
+                }
+            }
+            for (o, a) in oblock.iter_mut().zip(acc) {
+                *o = a as f32;
             }
         }
-        out.into_iter().map(|v| v as f32).collect()
+        let tail = &mut out[full..];
+        if !tail.is_empty() {
+            let mut acc = [0f64; COL_BLOCK];
+            let acc = &mut acc[..tail.len()];
+            for (&xv, row) in x.iter().zip(self.data.chunks_exact(self.cols)) {
+                let xi = f64::from(xv);
+                for (a, &w) in acc.iter_mut().zip(&row[full..]) {
+                    *a += xi * f64::from(w);
+                }
+            }
+            for (o, &a) in tail.iter_mut().zip(acc.iter()) {
+                *o = a as f32;
+            }
+        }
     }
 
     /// Matrix product `self · X` for a **lane-major** operand: `x` is
@@ -280,12 +335,26 @@ impl Matrix {
     /// The transpose.
     pub fn transpose(&self) -> Matrix {
         let mut out = Matrix::zeros(self.cols, self.rows);
-        for i in 0..self.rows {
-            for j in 0..self.cols {
-                out[(j, i)] = self[(i, j)];
+        self.transpose_into(&mut out);
+        out
+    }
+
+    /// The transpose into an existing `cols × rows` matrix, so a
+    /// derived transpose can be refreshed without allocating.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out` is not `cols × rows`.
+    pub fn transpose_into(&self, out: &mut Matrix) {
+        assert!(
+            out.rows == self.cols && out.cols == self.rows,
+            "transpose_into shape"
+        );
+        for (i, row) in self.data.chunks_exact(self.cols).enumerate() {
+            for (o, &v) in out.data[i..].iter_mut().step_by(self.rows).zip(row) {
+                *o = v;
             }
         }
-        out
     }
 
     /// Solves the ridge-regularized least-squares problem
@@ -630,6 +699,78 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// `matvec_t_into` must be bit-identical to the unblocked reference
+    /// (one `f64` sum per output over the rows in order, rounded once)
+    /// at odd and even shapes on both sides of the column block, and on
+    /// signed zeros and subnormals; and `m.transpose()` through it must
+    /// equal `m.matvec` — the identity the stored transposes rely on.
+    #[test]
+    fn matvec_t_into_matches_unblocked_reference() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha12Rng::seed_from_u64(31);
+        let specials = [0.0f32, -0.0, f32::MIN_POSITIVE / 4.0, -1e-40, 1e-45];
+        let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        for &(n, k) in &[
+            (1, 1),
+            (3, 4),
+            (7, 9),
+            (16, 15),
+            (16, 16),
+            (9, 17),
+            (16, 32),
+            (20, 33),
+            (16, 64),
+            (64, 16),
+            (5, 70),
+        ] {
+            let mut m = Matrix::zeros(n, k);
+            m.randomize(&mut rng, 3.0);
+            m[(0, 0)] = -0.0;
+            m[(n - 1, k - 1)] = 1e-44;
+            let mut x = vec![0.0f32; n];
+            for v in &mut x {
+                *v = if rng.gen_range(0..3) == 0 {
+                    specials[rng.gen_range(0..specials.len())]
+                } else {
+                    rng.gen_range(-3.0..3.0)
+                };
+            }
+            let reference: Vec<f32> = (0..k)
+                .map(|j| {
+                    let mut acc = 0f64;
+                    for (i, &xv) in x.iter().enumerate() {
+                        acc += f64::from(xv) * f64::from(m[(i, j)]);
+                    }
+                    acc as f32
+                })
+                .collect();
+            let mut out = vec![f32::NAN; k]; // dirty: every slot is written
+            m.matvec_t_into(&x, &mut out);
+            assert_eq!(bits(&out), bits(&reference), "shape ({n},{k})");
+            assert_eq!(bits(&m.matvec_t(&x)), bits(&reference), "shape ({n},{k})");
+            // All-signed-zero input: every sum starts from +0.0.
+            let zeros = vec![-0.0f32; n];
+            m.matvec_t_into(&zeros, &mut out);
+            assert!(out.iter().all(|v| v.to_bits() == 0), "shape ({n},{k})");
+
+            let t = m.transpose();
+            let mut via_t = vec![f32::NAN; k];
+            t.transpose().matvec_t_into(&x, &mut via_t);
+            assert_eq!(bits(&via_t), bits(&reference), "shape ({n},{k})");
+            let y: Vec<f32> = (0..k).map(|j| x[j % n] * 0.5 - 0.25).collect();
+            let mut rows = vec![f32::NAN; n];
+            t.matvec_t_into(&y, &mut rows);
+            assert_eq!(bits(&rows), bits(&m.matvec(&y)), "shape ({n},{k})");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "matvec_t output length")]
+    fn matvec_t_into_checks_output_length() {
+        let mut out = vec![0.0; 3];
+        Matrix::identity(2).matvec_t_into(&[1.0, 2.0], &mut out);
     }
 
     /// `matvec_into` must fill exactly what `matvec` returns and must

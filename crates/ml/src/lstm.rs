@@ -140,39 +140,76 @@ pub struct Lstm {
     /// Output biases, `vocab`.
     b_out: Box<[f32]>,
     /// Input projection per token, `vocab × 4*hidden`: row `t` is
-    /// `w · embedding[t]`, computed with [`Matrix::matvec`] so a batch
-    /// step can gather it instead of multiplying. Derived from `w` and
-    /// `embedding`; rebuilt whenever they change. Boxed, like the
-    /// fixed-length biases, so the model stays small enough to sit
-    /// unboxed in serving-model enums beside the ELM.
+    /// `w · embedding[t]`, bit for bit what [`Matrix::matvec`] gives,
+    /// so a step gathers it instead of multiplying. Derived from `w`
+    /// and `embedding`; rebuilt whenever they change. Boxed, like the
+    /// fixed-length biases and the transposes, so the model stays small
+    /// enough to sit unboxed in serving-model enums beside the ELM.
     wx_table: Box<Matrix>,
+    /// `uᵀ` (`hidden × 4*hidden`): `U·h` of a single-vector step runs
+    /// through [`Matrix::matvec_t_into`], one gate row per lane.
+    /// Derived from `u` where `wx_table` is.
+    u_t: Box<Matrix>,
+    /// `w_outᵀ` (`hidden × vocab`), for the logits. Derived from
+    /// `w_out` where `wx_table` is.
+    w_out_t: Box<Matrix>,
     // --- inference state ---
     #[serde(skip)]
     state: CellState,
 }
 
-/// Recurrent state plus the standing next-token prediction.
+/// Recurrent state plus the standing next-token prediction, and the
+/// `U·h` buffer a step writes before it updates `h` in place.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 struct CellState {
     h: Vec<f32>,
     c: Vec<f32>,
     /// softmax prediction from the current state.
     probs: Vec<f32>,
+    /// `U·h_prev` of the step in flight, `4*hidden`.
+    uh: Vec<f32>,
 }
 
-/// One forward step's intermediate values (cached for BPTT).
-#[derive(Debug, Clone)]
-struct StepCache {
-    token: usize,
-    x: Vec<f32>,
-    h_prev: Vec<f32>,
-    c_prev: Vec<f32>,
-    i: Vec<f32>,
-    f: Vec<f32>,
-    g: Vec<f32>,
-    o: Vec<f32>,
-    c: Vec<f32>,
-    h: Vec<f32>,
+/// One hidden unit after a step: its gates and its new cell and hidden
+/// values.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct CellUnit {
+    pub(crate) i: f32,
+    pub(crate) f: f32,
+    pub(crate) g: f32,
+    pub(crate) o: f32,
+    pub(crate) c: f32,
+    pub(crate) h: f32,
+}
+
+/// The elementwise stage of an LSTM step for hidden unit `j`, shared by
+/// the scalar step, training and the lockstep lane kernel so the three
+/// cannot drift: the pre-activations `z(r) = (Wx[r] + Uh[r]) + b[r]` of
+/// the unit's four gate rows, the gates (gate order i,f,g,o),
+/// `c = f·c_prev + i·g` and `h = o·tanh(c)`, each in the device's
+/// nonlinearities and in this order.
+pub(crate) fn cell_unit(
+    wx: &[f32],
+    uh: impl Fn(usize) -> f32,
+    b: &[f32],
+    j: usize,
+    c_prev: f32,
+) -> CellUnit {
+    let hd = b.len() / 4;
+    let z = |r: usize| wx[r] + uh(r) + b[r];
+    let i = sigmoid(z(j));
+    let f = sigmoid(z(hd + j));
+    let g = dev_tanh(z(2 * hd + j));
+    let o = sigmoid(z(3 * hd + j));
+    let c = f * c_prev + i * g;
+    CellUnit {
+        i,
+        f,
+        g,
+        o,
+        c,
+        h: o * dev_tanh(c),
+    }
 }
 
 impl Lstm {
@@ -200,6 +237,8 @@ impl Lstm {
 
         let mut lstm = Lstm {
             config: *config,
+            u_t: Box::new(u.transpose()),
+            w_out_t: Box::new(w_out.transpose()),
             embedding,
             w,
             u,
@@ -215,6 +254,12 @@ impl Lstm {
 
     /// Trains on a normal token stream with truncated BPTT + Adam.
     ///
+    /// Each chunk runs forward through the single-vector step, writing
+    /// every step's activations to a tape, then backward through the
+    /// tape, then one Adam step per tensor. The tape, the gradients and
+    /// the optimizer state are allocated once per call, so training
+    /// allocates the same on any corpus length.
+    ///
     /// # Panics
     ///
     /// Panics if the corpus has fewer than two tokens or any token is
@@ -229,43 +274,14 @@ impl Lstm {
             );
         }
         let mut lstm = Lstm::init(config, seed);
-        let h = config.hidden;
-
-        let mut a_emb = Adam::new(config.vocab * config.embed);
-        let mut a_w = Adam::new(4 * h * config.embed);
-        let mut a_u = Adam::new(4 * h * h);
-        let mut a_b = Adam::new(4 * h);
-        let mut a_wo = Adam::new(config.vocab * h);
-        let mut a_bo = Adam::new(config.vocab);
-
+        let mut tr = Trainer::new(&lstm);
         for _epoch in 0..config.epochs {
-            let mut h_state = vec![0.0f32; h];
-            let mut c_state = vec![0.0f32; h];
+            tr.tape.reset_state();
             let mut pos = 0usize;
             while pos + 1 < corpus.len() {
                 let end = (pos + config.bptt).min(corpus.len() - 1);
-                // Forward over the chunk, caching intermediates.
-                let mut caches = Vec::with_capacity(end - pos);
-                let mut d_logits_all = Vec::with_capacity(end - pos);
-                for t in pos..end {
-                    let cache = lstm.forward_step(corpus[t] as usize, &h_state, &c_state);
-                    h_state = cache.h.clone();
-                    c_state = cache.c.clone();
-                    // Prediction loss against the next token.
-                    let logits = lstm.logits(&cache.h);
-                    let probs = softmax(&logits);
-                    let mut d = probs;
-                    d[corpus[t + 1] as usize] -= 1.0;
-                    d_logits_all.push(d);
-                    caches.push(cache);
-                }
-                lstm.backward_chunk(
-                    &caches,
-                    &d_logits_all,
-                    (
-                        &mut a_emb, &mut a_w, &mut a_u, &mut a_b, &mut a_wo, &mut a_bo,
-                    ),
-                );
+                tr.forward_chunk(&lstm, &corpus[pos..=end]);
+                tr.backward_chunk(&mut lstm, &corpus[pos..end]);
                 pos = end;
             }
         }
@@ -328,193 +344,381 @@ impl Lstm {
     /// Advances the recurrent state by one observed token and refreshes
     /// the standing prediction. Exposed so the device path can drive the
     /// same state machine.
+    ///
+    /// `W·x` is the token's row of the input projection table; `U·h`
+    /// and the logits run through the stored transposes; the gates,
+    /// the state update and the clipped softmax run in place. Nothing
+    /// is allocated once [`SequenceModel::reset`] has sized the state.
     pub fn advance(&mut self, token: u32) {
-        let cache = self.forward_step(token as usize, &self.state.h.clone(), &self.state.c.clone());
-        self.state.h = cache.h;
-        self.state.c = cache.c;
-        let logits = self.logits(&self.state.h);
-        self.state.probs = softmax_clipped(&logits);
+        let token = token as usize;
+        assert!(token < self.config.vocab, "token outside vocabulary");
+        let st = &mut self.state;
+        self.u_t.matvec_t_into(&st.h, &mut st.uh);
+        let wx = self.wx_table.row(token);
+        for (j, (h, c)) in st.h.iter_mut().zip(st.c.iter_mut()).enumerate() {
+            let unit = cell_unit(wx, |r| st.uh[r], &self.b, j, *c);
+            *c = unit.c;
+            *h = unit.h;
+        }
+        self.refresh_prediction();
     }
 
-    fn forward_step(&self, token: usize, h_prev: &[f32], c_prev: &[f32]) -> StepCache {
-        assert!(token < self.config.vocab, "token outside vocabulary");
-        let hd = self.config.hidden;
-        let x: Vec<f32> = self.embedding.row(token).to_vec();
-        // z = W x + U h + b
-        let wx = self.w.matvec(&x);
-        let uh = self.u.matvec(h_prev);
-        let z: Vec<f32> = wx
-            .iter()
-            .zip(&uh)
-            .zip(&self.b)
-            .map(|((a, b2), bias)| a + b2 + bias)
-            .collect();
-        let i: Vec<f32> = z[..hd].iter().map(|&v| sigmoid(v)).collect();
-        let f: Vec<f32> = z[hd..2 * hd].iter().map(|&v| sigmoid(v)).collect();
-        let g: Vec<f32> = z[2 * hd..3 * hd].iter().map(|&v| dev_tanh(v)).collect();
-        let o: Vec<f32> = z[3 * hd..].iter().map(|&v| sigmoid(v)).collect();
-        let c: Vec<f32> = (0..hd).map(|k| f[k] * c_prev[k] + i[k] * g[k]).collect();
-        let h: Vec<f32> = (0..hd).map(|k| o[k] * dev_tanh(c[k])).collect();
-        StepCache {
-            token,
-            x,
-            h_prev: h_prev.to_vec(),
-            c_prev: c_prev.to_vec(),
-            i,
-            f,
-            g,
-            o,
-            c,
-            h,
+    /// The standing prediction from the current hidden state: logits
+    /// written straight into the prediction, biased, then the clipped
+    /// softmax in place.
+    fn refresh_prediction(&mut self) {
+        let st = &mut self.state;
+        self.w_out_t.matvec_t_into(&st.h, &mut st.probs);
+        for (p, bo) in st.probs.iter_mut().zip(&self.b_out) {
+            *p += bo;
         }
+        softmax_clipped_in_place(&mut st.probs);
     }
 
     /// Output logits for a hidden state.
     pub fn logits(&self, h: &[f32]) -> Vec<f32> {
-        self.w_out
-            .matvec(h)
-            .into_iter()
-            .zip(&self.b_out)
-            .map(|(v, b)| v + b)
-            .collect()
+        let mut out = self.w_out_t.matvec_t(h);
+        for (v, b) in out.iter_mut().zip(&self.b_out) {
+            *v += b;
+        }
+        out
+    }
+}
+
+/// The activations of one BPTT chunk, written by the forward pass and
+/// read back by the backward pass. Rows are steps; the state tapes
+/// carry one extra leading row, the state the chunk started from, so
+/// row `t` is step `t`'s previous state and row `t + 1` its new one.
+/// Sized for `bptt` steps once and reused by every chunk.
+#[derive(Debug)]
+struct Tape {
+    hidden: usize,
+    vocab: usize,
+    /// Hidden states, `(bptt + 1) × hidden`.
+    h: Vec<f32>,
+    /// Cell states, `(bptt + 1) × hidden`.
+    c: Vec<f32>,
+    /// Gates per step, `bptt × 4*hidden` (i, f, g, o blocks).
+    gates: Vec<f32>,
+    /// Loss gradient w.r.t. the logits per step, `bptt × vocab`
+    /// (`softmax − onehot(next)`).
+    d_logits: Vec<f32>,
+    /// `W·x` and `U·h` of the step in flight, `4*hidden` each.
+    wx: Vec<f32>,
+    uh: Vec<f32>,
+    /// Steps recorded in the current chunk.
+    steps: usize,
+}
+
+impl Tape {
+    fn new(config: &LstmConfig) -> Self {
+        let (hd, bptt) = (config.hidden, config.bptt);
+        Tape {
+            hidden: hd,
+            vocab: config.vocab,
+            h: vec![0.0; (bptt + 1) * hd],
+            c: vec![0.0; (bptt + 1) * hd],
+            gates: vec![0.0; bptt * 4 * hd],
+            d_logits: vec![0.0; bptt * config.vocab],
+            wx: vec![0.0; 4 * hd],
+            uh: vec![0.0; 4 * hd],
+            steps: 0,
+        }
     }
 
-    #[allow(clippy::type_complexity)]
-    fn backward_chunk(
-        &mut self,
-        caches: &[StepCache],
-        d_logits: &[Vec<f32>],
-        opt: (
-            &mut Adam,
-            &mut Adam,
-            &mut Adam,
-            &mut Adam,
-            &mut Adam,
-            &mut Adam,
-        ),
-    ) {
-        let (a_emb, a_w, a_u, a_b, a_wo, a_bo) = opt;
-        let hd = self.config.hidden;
-        let ed = self.config.embed;
-        let vd = self.config.vocab;
-        let n = caches.len() as f32;
+    /// Zero state before the first chunk of an epoch.
+    fn reset_state(&mut self) {
+        self.h[..self.hidden].fill(0.0);
+        self.c[..self.hidden].fill(0.0);
+        self.steps = 0;
+    }
 
-        let mut g_emb = vec![0.0f32; vd * ed];
-        let mut g_w = vec![0.0f32; 4 * hd * ed];
-        let mut g_u = vec![0.0f32; 4 * hd * hd];
-        let mut g_b = vec![0.0f32; 4 * hd];
-        let mut g_wo = vec![0.0f32; vd * hd];
-        let mut g_bo = vec![0.0f32; vd];
+    /// Carries the last chunk's final state into row 0.
+    fn carry_state(&mut self) {
+        let (hd, end) = (self.hidden, self.steps * self.hidden);
+        self.h.copy_within(end..end + hd, 0);
+        self.c.copy_within(end..end + hd, 0);
+        self.steps = 0;
+    }
 
-        let mut dh_next = vec![0.0f32; hd];
-        let mut dc_next = vec![0.0f32; hd];
+    fn row(v: &[f32], width: usize, t: usize) -> &[f32] {
+        &v[t * width..(t + 1) * width]
+    }
+}
 
-        for (cache, dlog) in caches.iter().zip(d_logits).rev() {
+/// Everything `Lstm::train` keeps across chunks: the tape, the
+/// gradient and backward scratch buffers, the transpose of `w` for the
+/// forward `W·x`, and Adam state per tensor (embedding, `w`, `u`, `b`,
+/// `w_out`, `b_out`).
+struct Trainer {
+    tape: Tape,
+    w_t: Matrix,
+    g_emb: Vec<f32>,
+    g_w: Vec<f32>,
+    g_u: Vec<f32>,
+    g_b: Vec<f32>,
+    g_wo: Vec<f32>,
+    g_bo: Vec<f32>,
+    dh: Vec<f32>,
+    dc: Vec<f32>,
+    dz: Vec<f32>,
+    dh_next: Vec<f32>,
+    dc_next: Vec<f32>,
+    /// Per-output `f32` sums of the `dh` / `dx` / `dh_next` reductions.
+    acc_h: Vec<f32>,
+    acc_x: Vec<f32>,
+    adam: [Adam; 6],
+}
+
+impl Trainer {
+    fn new(lstm: &Lstm) -> Self {
+        let cfg = &lstm.config;
+        let (hd, ed, vd) = (cfg.hidden, cfg.embed, cfg.vocab);
+        Trainer {
+            tape: Tape::new(cfg),
+            w_t: lstm.w.transpose(),
+            g_emb: vec![0.0; vd * ed],
+            g_w: vec![0.0; 4 * hd * ed],
+            g_u: vec![0.0; 4 * hd * hd],
+            g_b: vec![0.0; 4 * hd],
+            g_wo: vec![0.0; vd * hd],
+            g_bo: vec![0.0; vd],
+            dh: vec![0.0; hd],
+            dc: vec![0.0; hd],
+            dz: vec![0.0; 4 * hd],
+            dh_next: vec![0.0; hd],
+            dc_next: vec![0.0; hd],
+            acc_h: vec![0.0; hd],
+            acc_x: vec![0.0; ed],
+            adam: [
+                Adam::new(vd * ed),
+                Adam::new(4 * hd * ed),
+                Adam::new(4 * hd * hd),
+                Adam::new(4 * hd),
+                Adam::new(vd * hd),
+                Adam::new(vd),
+            ],
+        }
+    }
+
+    /// Runs the chunk's steps forward from the tape's row-0 state:
+    /// `tokens` holds each step's input and, one further, the last
+    /// step's prediction target. Records every step's gates and state
+    /// and the loss gradient w.r.t. its logits.
+    fn forward_chunk(&mut self, lstm: &Lstm, tokens: &[u32]) {
+        let tape = &mut self.tape;
+        if tape.steps > 0 {
+            tape.carry_state();
+        }
+        let (hd, vd) = (tape.hidden, tape.vocab);
+        for (t, pair) in tokens.windows(2).enumerate() {
+            let (token, next) = (pair[0] as usize, pair[1] as usize);
+            let (h_prev, h_new) = tape.h[t * hd..(t + 2) * hd].split_at_mut(hd);
+            let (c_prev, c_new) = tape.c[t * hd..(t + 2) * hd].split_at_mut(hd);
+            // z = W x + U h + b
+            self.w_t
+                .matvec_t_into(lstm.embedding.row(token), &mut tape.wx);
+            lstm.u_t.matvec_t_into(h_prev, &mut tape.uh);
+            let gates = &mut tape.gates[t * 4 * hd..(t + 1) * 4 * hd];
+            for j in 0..hd {
+                let unit = cell_unit(&tape.wx, |r| tape.uh[r], &lstm.b, j, c_prev[j]);
+                gates[j] = unit.i;
+                gates[hd + j] = unit.f;
+                gates[2 * hd + j] = unit.g;
+                gates[3 * hd + j] = unit.o;
+                c_new[j] = unit.c;
+                h_new[j] = unit.h;
+            }
+            // Prediction loss against the next token.
+            let d = &mut tape.d_logits[t * vd..(t + 1) * vd];
+            lstm.w_out_t.matvec_t_into(h_new, d);
+            for (v, b) in d.iter_mut().zip(&lstm.b_out) {
+                *v += b;
+            }
+            softmax_in_place(d);
+            d[next] -= 1.0;
+        }
+        tape.steps = tokens.len() - 1;
+    }
+
+    /// Back-propagates the recorded chunk (`tokens` are the steps'
+    /// inputs), clips the gradients, takes one Adam step per tensor and
+    /// refreshes the transposes the next forward pass reads.
+    fn backward_chunk(&mut self, lstm: &mut Lstm, tokens: &[u32]) {
+        let cfg = lstm.config;
+        let (hd, ed, vd) = (cfg.hidden, cfg.embed, cfg.vocab);
+        let tape = &self.tape;
+        debug_assert_eq!(tokens.len(), tape.steps);
+        let n = tape.steps as f32;
+
+        for g in [
+            &mut self.g_emb,
+            &mut self.g_w,
+            &mut self.g_u,
+            &mut self.g_b,
+            &mut self.g_wo,
+            &mut self.g_bo,
+            &mut self.dh_next,
+            &mut self.dc_next,
+        ] {
+            g.fill(0.0);
+        }
+
+        for (t, &token) in tokens.iter().enumerate().rev() {
+            let h = Tape::row(&tape.h, hd, t + 1);
+            let h_prev = Tape::row(&tape.h, hd, t);
+            let c = Tape::row(&tape.c, hd, t + 1);
+            let c_prev = Tape::row(&tape.c, hd, t);
+            let gates = Tape::row(&tape.gates, 4 * hd, t);
+            let (i, rest) = gates.split_at(hd);
+            let (f, rest) = rest.split_at(hd);
+            let (g, o) = rest.split_at(hd);
+            let dlog = Tape::row(&tape.d_logits, vd, t);
+            let x = lstm.embedding.row(token as usize);
+
             // Output layer.
-            for v in 0..vd {
-                let dl = dlog[v] / n;
-                g_bo[v] += dl;
-                for k in 0..hd {
-                    g_wo[v * hd + k] += dl * cache.h[k];
+            for (((gbo, gwo), &dlv), wrow) in self
+                .g_bo
+                .iter_mut()
+                .zip(self.g_wo.chunks_exact_mut(hd))
+                .zip(dlog)
+                .zip(lstm.w_out.as_slice().chunks_exact(hd))
+            {
+                let dl = dlv / n;
+                *gbo += dl;
+                for (gw, &hk) in gwo.iter_mut().zip(h) {
+                    *gw += dl * hk;
+                }
+                // dh[k] gathers w_out[v][k]·dlog[v]/n over v in order;
+                // the hidden units advance side by side.
+                for (a, &w) in self.acc_h.iter_mut().zip(wrow) {
+                    *a += w * dlv / n;
                 }
             }
-            let mut dh = dh_next.clone();
-            for (k, dhk) in dh.iter_mut().enumerate() {
-                let mut acc = 0.0f32;
-                for (v, &dl) in dlog.iter().enumerate() {
-                    acc += self.w_out[(v, k)] * dl / n;
-                }
-                *dhk += acc;
+            for ((dh, a), dn) in self.dh.iter_mut().zip(&mut self.acc_h).zip(&self.dh_next) {
+                *dh = dn + *a;
+                *a = 0.0;
             }
+            self.dc.copy_from_slice(&self.dc_next);
 
             // Cell backward.
-            let mut dc = dc_next.clone();
-            let mut dz = vec![0.0f32; 4 * hd];
             for k in 0..hd {
-                let tc = dev_tanh(cache.c[k]);
-                let do_ = dh[k] * tc;
-                dc[k] += dh[k] * cache.o[k] * (1.0 - tc * tc);
-                let di = dc[k] * cache.g[k];
-                let df = dc[k] * cache.c_prev[k];
-                let dg = dc[k] * cache.i[k];
-                dz[k] = di * cache.i[k] * (1.0 - cache.i[k]);
-                dz[hd + k] = df * cache.f[k] * (1.0 - cache.f[k]);
-                dz[2 * hd + k] = dg * (1.0 - cache.g[k] * cache.g[k]);
-                dz[3 * hd + k] = do_ * cache.o[k] * (1.0 - cache.o[k]);
+                let dh = self.dh[k];
+                let tc = dev_tanh(c[k]);
+                let do_ = dh * tc;
+                self.dc[k] += dh * o[k] * (1.0 - tc * tc);
+                let dc = self.dc[k];
+                let di = dc * g[k];
+                let df = dc * c_prev[k];
+                let dg = dc * i[k];
+                self.dz[k] = di * i[k] * (1.0 - i[k]);
+                self.dz[hd + k] = df * f[k] * (1.0 - f[k]);
+                self.dz[2 * hd + k] = dg * (1.0 - g[k] * g[k]);
+                self.dz[3 * hd + k] = do_ * o[k] * (1.0 - o[k]);
             }
 
-            for (r, dzr) in dz.iter().enumerate() {
-                g_b[r] += dzr;
-                for (col, xv) in cache.x.iter().enumerate() {
-                    g_w[r * ed + col] += dzr * xv;
+            // Gate-weight gradients, and the reductions through W and
+            // U: dx[col] and dh_next[k] each sum over the gate rows in
+            // order, with the outputs side by side.
+            for ((((&dzr, gb), (gw, gu)), wrow), urow) in self
+                .dz
+                .iter()
+                .zip(&mut self.g_b)
+                .zip(
+                    self.g_w
+                        .chunks_exact_mut(ed)
+                        .zip(self.g_u.chunks_exact_mut(hd)),
+                )
+                .zip(lstm.w.as_slice().chunks_exact(ed))
+                .zip(lstm.u.as_slice().chunks_exact(hd))
+            {
+                *gb += dzr;
+                for (gwv, &xv) in gw.iter_mut().zip(x) {
+                    *gwv += dzr * xv;
                 }
-                for (col, hv) in cache.h_prev.iter().enumerate() {
-                    g_u[r * hd + col] += dzr * hv;
+                for (guv, &hv) in gu.iter_mut().zip(h_prev) {
+                    *guv += dzr * hv;
+                }
+                for (a, &w) in self.acc_x.iter_mut().zip(wrow) {
+                    *a += w * dzr;
+                }
+                for (a, &u) in self.acc_h.iter_mut().zip(urow) {
+                    *a += u * dzr;
                 }
             }
 
             // dx -> embedding gradient.
-            for col in 0..ed {
-                let mut acc = 0.0f32;
-                for (r, dzr) in dz.iter().enumerate() {
-                    acc += self.w[(r, col)] * dzr;
-                }
-                g_emb[cache.token * ed + col] += acc;
+            let ge = &mut self.g_emb[token as usize * ed..(token as usize + 1) * ed];
+            for (gev, a) in ge.iter_mut().zip(&mut self.acc_x) {
+                *gev += *a;
+                *a = 0.0;
             }
 
             // Propagate to the previous step.
-            for k in 0..hd {
-                let mut acc = 0.0f32;
-                for (r, dzr) in dz.iter().enumerate() {
-                    acc += self.u[(r, k)] * dzr;
-                }
-                dh_next[k] = acc;
-                dc_next[k] = dc[k] * cache.f[k];
+            self.dh_next.copy_from_slice(&self.acc_h);
+            self.acc_h.fill(0.0);
+            for ((dn, &dc), &fk) in self.dc_next.iter_mut().zip(&self.dc).zip(f) {
+                *dn = dc * fk;
             }
         }
 
-        let clip = self.config.grad_clip;
-        for g in [
-            &mut g_emb, &mut g_w, &mut g_u, &mut g_b, &mut g_wo, &mut g_bo,
-        ] {
+        let clip = cfg.grad_clip;
+        let grads = [
+            &mut self.g_emb,
+            &mut self.g_w,
+            &mut self.g_u,
+            &mut self.g_b,
+            &mut self.g_wo,
+            &mut self.g_bo,
+        ];
+        for g in grads {
             for v in g.iter_mut() {
                 *v = v.clamp(-clip, clip);
             }
         }
 
-        let lr = self.config.lr;
-        a_emb.step(flat_mut(&mut self.embedding), &g_emb, lr);
-        a_w.step(flat_mut(&mut self.w), &g_w, lr);
-        a_u.step(flat_mut(&mut self.u), &g_u, lr);
-        a_b.step(&mut self.b, &g_b, lr);
-        a_wo.step(flat_mut(&mut self.w_out), &g_wo, lr);
-        a_bo.step(&mut self.b_out, &g_bo, lr);
+        let lr = cfg.lr;
+        let [a_emb, a_w, a_u, a_b, a_wo, a_bo] = &mut self.adam;
+        a_emb.step(lstm.embedding.as_mut_slice(), &self.g_emb, lr);
+        a_w.step(lstm.w.as_mut_slice(), &self.g_w, lr);
+        a_u.step(lstm.u.as_mut_slice(), &self.g_u, lr);
+        a_b.step(&mut lstm.b, &self.g_b, lr);
+        a_wo.step(lstm.w_out.as_mut_slice(), &self.g_wo, lr);
+        a_bo.step(&mut lstm.b_out, &self.g_bo, lr);
+
+        // The weights move only here: refresh what the next chunk reads.
+        lstm.w.transpose_into(&mut self.w_t);
+        lstm.u.transpose_into(&mut lstm.u_t);
+        lstm.w_out.transpose_into(&mut lstm.w_out_t);
     }
 }
 
 /// The per-token input projection table: row `t` is
-/// `w.matvec(embedding.row(t))`, the `W·x` term of a step on token `t`.
+/// `w.matvec(embedding.row(t))`, the `W·x` term of a step on token `t`,
+/// computed through `wᵀ` (bit-identical, one gate row per lane).
 fn project_embeddings(w: &Matrix, embedding: &Matrix) -> Box<Matrix> {
-    let data = (0..embedding.rows())
-        .flat_map(|t| w.matvec(embedding.row(t)))
-        .collect();
-    Box::new(Matrix::from_vec(embedding.rows(), w.rows(), data))
-}
-
-/// Mutable flat view of a matrix's storage (training-internal).
-fn flat_mut(m: &mut Matrix) -> &mut [f32] {
-    // Matrix doesn't expose mutable flat access publicly; reconstruct
-    // through indices would be slow, so linalg grants the crate access.
-    m.as_mut_slice()
+    let w_t = w.transpose();
+    let mut table = Matrix::zeros(embedding.rows(), w.rows());
+    for (t, row) in table.as_mut_slice().chunks_exact_mut(w.rows()).enumerate() {
+        w_t.matvec_t_into(embedding.row(t), row);
+    }
+    Box::new(table)
 }
 
 impl SequenceModel for Lstm {
     fn reset(&mut self) {
         let hd = self.config.hidden;
-        self.state.h = vec![0.0; hd];
-        self.state.c = vec![0.0; hd];
-        let logits = self.logits(&self.state.h);
-        self.state.probs = softmax_clipped(&logits);
+        let st = &mut self.state;
+        for (v, len) in [
+            (&mut st.h, hd),
+            (&mut st.c, hd),
+            (&mut st.probs, self.config.vocab),
+            (&mut st.uh, 4 * hd),
+        ] {
+            v.clear();
+            v.resize(len, 0.0);
+        }
+        self.refresh_prediction();
     }
 
     fn score_next(&mut self, token: u32) -> f64 {
@@ -533,26 +737,23 @@ impl SequenceModel for Lstm {
     }
 }
 
-/// Plain softmax (training path).
-fn softmax(logits: &[f32]) -> Vec<f32> {
-    let m = logits.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-    let exps: Vec<f32> = logits.iter().map(|&v| (v - m).exp()).collect();
-    let s: f32 = exps.iter().sum();
-    exps.into_iter().map(|e| e / s).collect()
+/// Plain max-shifted softmax in place (training path).
+fn softmax_in_place(v: &mut [f32]) {
+    let m = v.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+    for e in v.iter_mut() {
+        *e = (*e - m).exp();
+    }
+    let s: f32 = v.iter().sum();
+    for e in v.iter_mut() {
+        *e /= s;
+    }
 }
 
-/// Device-matching softmax: clip to ±[`LOGIT_CLIP`], exponentiate
-/// without max-shifting (safe after the clip), normalize.
-pub(crate) fn softmax_clipped(logits: &[f32]) -> Vec<f32> {
-    let mut out = logits.to_vec();
-    softmax_clipped_in_place(&mut out);
-    out
-}
-
-/// [`softmax_clipped`] over a buffer that holds the logits and
-/// receives the probabilities. Same operations in the same order, so
-/// results are bit-identical; batch inference writes a lane's logits
-/// straight into its prediction and normalizes them here.
+/// Device-matching softmax over a buffer that holds the logits and
+/// receives the probabilities: clip to ±[`LOGIT_CLIP`], exponentiate
+/// without max-shifting (safe after the clip), normalize. Scalar and
+/// batch inference both write a prediction's logits straight into it
+/// and normalize them here.
 pub(crate) fn softmax_clipped_in_place(v: &mut [f32]) {
     for e in v.iter_mut() {
         *e = e.clamp(-LOGIT_CLIP, LOGIT_CLIP).exp();
@@ -695,7 +896,8 @@ mod tests {
 
     #[test]
     fn clipped_softmax_handles_extreme_logits() {
-        let p = softmax_clipped(&[1e9, -1e9, 0.0]);
+        let mut p = [1e9, -1e9, 0.0];
+        softmax_clipped_in_place(&mut p);
         assert!(p.iter().all(|v| v.is_finite()));
         assert!((p.iter().sum::<f32>() - 1.0).abs() < 1e-5);
         assert!(p[0] > p[2] && p[2] > p[1]);

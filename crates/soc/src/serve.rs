@@ -40,7 +40,8 @@
 //!
 //! [`sparse`]: crate::sparse
 
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 use std::mem::size_of;
 
 use rtad_igm::{IgmConfig, StreamingIgm, VectorPayload};
@@ -262,9 +263,8 @@ impl VerdictState {
 /// the per-stream LSTM lane pool and the index/token/score scratch that
 /// feeds the arena kernels. After the first batch of the steady shape,
 /// scoring a batch allocates nothing.
+#[derive(Default)]
 struct InferCtx {
-    /// Lockstep mode: at most one window per stream per batch (LSTM).
-    lockstep: bool,
     arena: BatchArena,
     /// One recurrent lane per stream (LSTM only).
     lanes: Vec<LstmLane>,
@@ -277,17 +277,6 @@ struct InferCtx {
 }
 
 impl InferCtx {
-    fn new(spec: &ServeSpec) -> Self {
-        InferCtx {
-            lockstep: matches!(spec.model, ServeModel::Lstm(_)),
-            arena: BatchArena::new(),
-            lanes: Vec::new(),
-            idx: Vec::new(),
-            tokens: Vec::new(),
-            scores: Vec::new(),
-        }
-    }
-
     /// Registers one more stream (a fresh recurrent lane under the
     /// LSTM; a no-op for the stateless ELM). Lane indices follow
     /// registration order, matching the plane's stream ids.
@@ -329,6 +318,192 @@ impl InferCtx {
     }
 }
 
+/// Windows waiting for a batch.
+enum WindowQueue {
+    /// Under the ELM: one FIFO in arrival order; a batch is its first
+    /// `max_batch` windows.
+    Arrival(VecDeque<(usize, VectorPayload)>),
+    /// Under the LSTM: one FIFO per stream, for lockstep batches.
+    Lockstep(LockstepQueue),
+}
+
+impl WindowQueue {
+    fn new(lockstep: bool) -> Self {
+        if lockstep {
+            WindowQueue::Lockstep(LockstepQueue::default())
+        } else {
+            WindowQueue::Arrival(VecDeque::new())
+        }
+    }
+
+    fn is_lockstep(&self) -> bool {
+        matches!(self, WindowQueue::Lockstep(_))
+    }
+
+    /// Adds the next stream id.
+    fn register(&mut self) {
+        if let WindowQueue::Lockstep(q) = self {
+            q.ends.push([NIL, NIL]);
+        }
+    }
+
+    fn len(&self) -> usize {
+        match self {
+            WindowQueue::Arrival(q) => q.len(),
+            WindowQueue::Lockstep(q) => q.len,
+        }
+    }
+
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Appends a window of `stream`.
+    fn push(&mut self, stream: usize, payload: VectorPayload) {
+        match self {
+            WindowQueue::Arrival(q) => q.push_back((stream, payload)),
+            WindowQueue::Lockstep(q) => q.push(stream, payload),
+        }
+    }
+
+    /// Moves the next batch into `batch` (cleared first): up to
+    /// `max_batch` windows in arrival order, or in lockstep the head
+    /// windows of the first `max_batch` streams by the arrival of their
+    /// next window, in that order.
+    fn take_batch(&mut self, max_batch: usize, batch: &mut Vec<(usize, VectorPayload)>) {
+        batch.clear();
+        match self {
+            WindowQueue::Arrival(q) => {
+                let n = q.len().min(max_batch);
+                batch.extend(q.drain(..n));
+            }
+            WindowQueue::Lockstep(q) => q.take_batch(max_batch, batch),
+        }
+    }
+
+    /// Resident bytes one registered stream adds.
+    fn stream_bytes(&self) -> usize {
+        if self.is_lockstep() {
+            size_of::<[usize; 2]>()
+        } else {
+            0
+        }
+    }
+
+    /// Resident bytes of the shared storage (the per-stream FIFO ends
+    /// are the streams' own).
+    fn scratch_bytes(&self) -> usize {
+        match self {
+            WindowQueue::Arrival(q) => q.capacity() * size_of::<(usize, VectorPayload)>(),
+            WindowQueue::Lockstep(q) => {
+                q.slab.capacity() * size_of::<Slot>()
+                    + q.ready.capacity() * size_of::<Reverse<(u64, usize)>>()
+            }
+        }
+    }
+}
+
+/// End-of-list marker of [`LockstepQueue`]'s slab links.
+const NIL: usize = usize::MAX;
+
+/// One queued window in the [`LockstepQueue`] slab: its payload
+/// (`None` while the slot is free), its arrival number, and the next
+/// slot of its stream's FIFO (or of the free list).
+struct Slot {
+    payload: Option<VectorPayload>,
+    seq: u64,
+    next: usize,
+}
+
+/// Lockstep windows: one FIFO per stream, linked through a shared slab
+/// with a head/tail index per stream, plus a min-heap of the streams
+/// with pending windows keyed by the arrival number of each stream's
+/// head window. A batch pops its streams off the heap, so forming `B`
+/// windows costs `O(B log S)` for `S` pending streams however long the
+/// queue is. Per-stream memory is the two FIFO ends; slab slots and
+/// heap entries are reused, so the steady state allocates nothing.
+struct LockstepQueue {
+    slab: Vec<Slot>,
+    /// Head of the free-slot list.
+    free: usize,
+    /// `[head, tail]` slot of each stream's FIFO (`NIL` when empty).
+    ends: Vec<[usize; 2]>,
+    ready: BinaryHeap<Reverse<(u64, usize)>>,
+    next_seq: u64,
+    len: usize,
+}
+
+impl Default for LockstepQueue {
+    fn default() -> Self {
+        LockstepQueue {
+            slab: Vec::new(),
+            free: NIL,
+            ends: Vec::new(),
+            ready: BinaryHeap::new(),
+            next_seq: 0,
+            len: 0,
+        }
+    }
+}
+
+impl LockstepQueue {
+    fn push(&mut self, stream: usize, payload: VectorPayload) {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        let slot = Slot {
+            payload: Some(payload),
+            seq,
+            next: NIL,
+        };
+        let i = if self.free == NIL {
+            self.slab.push(slot);
+            self.slab.len() - 1
+        } else {
+            let i = self.free;
+            self.free = self.slab[i].next;
+            self.slab[i] = slot;
+            i
+        };
+        let [head, tail] = &mut self.ends[stream];
+        if *head == NIL {
+            *head = i;
+            self.ready.push(Reverse((seq, stream)));
+        } else {
+            self.slab[*tail].next = i;
+        }
+        *tail = i;
+        self.len += 1;
+    }
+
+    /// The head windows of the first `max_batch` streams off the heap.
+    /// Streams go back on the heap, keyed by their new head, only once
+    /// the batch is formed, so none gives the batch a second window.
+    fn take_batch(&mut self, max_batch: usize, batch: &mut Vec<(usize, VectorPayload)>) {
+        while batch.len() < max_batch {
+            let Some(Reverse((_, stream))) = self.ready.pop() else {
+                break;
+            };
+            let [head, tail] = &mut self.ends[stream];
+            let i = *head;
+            let slot = &mut self.slab[i];
+            batch.push((stream, slot.payload.take().expect("queued slot")));
+            *head = slot.next;
+            if *head == NIL {
+                *tail = NIL;
+            }
+            slot.next = self.free;
+            self.free = i;
+            self.len -= 1;
+        }
+        for &(stream, _) in batch.iter() {
+            let head = self.ends[stream][0];
+            if head != NIL {
+                self.ready.push(Reverse((self.slab[head].seq, stream)));
+            }
+        }
+    }
+}
+
 /// The one batch former of the serving plane: queues decoded windows,
 /// forms cross-stream batches, scores them, runs per-stream verdicts
 /// and records each stream's [`SparseOutcome`]. The sparse plane owns
@@ -340,12 +515,9 @@ pub(crate) struct BatchFormer {
     ctx: InferCtx,
     verdicts: Vec<VerdictState>,
     outcomes: Vec<SparseOutcome>,
-    /// Windows waiting for a batch, in arrival order.
-    queue: VecDeque<(usize, VectorPayload)>,
+    /// Windows waiting for a batch.
+    queue: WindowQueue,
     batch: Vec<(usize, VectorPayload)>,
-    /// Lockstep scratch: whether a stream already has a window in the
-    /// batch being formed.
-    in_batch: Vec<bool>,
     windows: u64,
     batches: u64,
     max_batch_seen: usize,
@@ -357,14 +529,13 @@ impl BatchFormer {
     pub(crate) fn new(spec: ServeSpec, max_batch: usize) -> Self {
         let max_batch = max_batch.max(1);
         BatchFormer {
-            ctx: InferCtx::new(&spec),
+            ctx: InferCtx::default(),
+            queue: WindowQueue::new(matches!(spec.model, ServeModel::Lstm(_))),
             spec,
             max_batch,
             verdicts: Vec::new(),
             outcomes: Vec::new(),
-            queue: VecDeque::new(),
             batch: Vec::with_capacity(max_batch),
-            in_batch: Vec::new(),
             windows: 0,
             batches: 0,
             max_batch_seen: 0,
@@ -381,14 +552,14 @@ impl BatchFormer {
     pub(crate) fn register(&mut self) {
         self.verdicts.push(VerdictState::new());
         self.outcomes.push(SparseOutcome::default());
-        self.in_batch.push(false);
+        self.queue.register();
         self.ctx.add_stream(&self.spec);
     }
 
     /// Queues one decoded window of `stream` (windows of one stream
     /// must arrive in decode order).
     pub(crate) fn push(&mut self, stream: usize, payload: VectorPayload) {
-        self.queue.push_back((stream, payload));
+        self.queue.push(stream, payload);
     }
 
     /// Under the ELM, scores batches while a full one is queued, so at
@@ -397,7 +568,7 @@ impl BatchFormer {
     /// batch waits for the round end, where it can mix every ready
     /// stream.
     pub(crate) fn score_full(&mut self, mut recycle: impl FnMut(Vec<f32>)) {
-        if !self.ctx.lockstep {
+        if !self.queue.is_lockstep() {
             while self.queue.len() >= self.max_batch {
                 self.score_next(&mut recycle);
             }
@@ -412,7 +583,7 @@ impl BatchFormer {
         if self.queue.is_empty() {
             return 0;
         }
-        self.take_batch();
+        self.queue.take_batch(self.max_batch, &mut self.batch);
         self.ctx.score(&self.spec, &self.batch);
         let n = self.batch.len();
         self.windows += n as u64;
@@ -432,55 +603,12 @@ impl BatchFormer {
                 out.last_flag = Some(seq);
             }
         }
-        for (stream, payload) in self.batch.drain(..) {
-            // Clear only this batch's lockstep marks: O(batch), not
-            // O(registered streams).
-            self.in_batch[stream] = false;
+        for (_, payload) in self.batch.drain(..) {
             if let VectorPayload::Dense(buf) = payload {
                 recycle(buf);
             }
         }
         n
-    }
-
-    /// Pops the next batch into `self.batch` (cleared first): up to
-    /// `max_batch` windows in arrival order; in lockstep mode at most
-    /// one window per stream. Skipped windows rotate to the back of the
-    /// queue in scan order, which preserves every stream's relative
-    /// window order without rebuilding the queue — the whole call is
-    /// allocation-free once the scratch buffers are warm. Every
-    /// `in_batch` mark is clear on entry: `score_next` clears the marks
-    /// of the batch it scored.
-    fn take_batch(&mut self) {
-        debug_assert!(
-            self.in_batch.iter().all(|&b| !b),
-            "a scored batch left a lockstep mark set"
-        );
-        self.batch.clear();
-        if self.ctx.lockstep {
-            // Examine each queued window exactly once; rejects rotate to
-            // the back, so after `len` pops the queue holds exactly the
-            // rejects in their original relative order.
-            for _ in 0..self.queue.len() {
-                let (stream, payload) = self
-                    .queue
-                    .pop_front()
-                    .expect("queue length fixed this pass");
-                if self.batch.len() < self.max_batch && !self.in_batch[stream] {
-                    self.in_batch[stream] = true;
-                    self.batch.push((stream, payload));
-                } else {
-                    self.queue.push_back((stream, payload));
-                }
-            }
-        } else {
-            while self.batch.len() < self.max_batch {
-                match self.queue.pop_front() {
-                    Some(window) => self.batch.push(window),
-                    None => break,
-                }
-            }
-        }
     }
 
     /// The outcome of `stream` so far.
@@ -499,7 +627,7 @@ impl BatchFormer {
     }
 
     /// Resident bytes the former keeps for `stream`: verdict state,
-    /// model lane, outcome slot and its `in_batch` bookkeeping slot.
+    /// model lane, outcome slot and its window FIFO's ends.
     pub(crate) fn stream_resident_bytes(&self, stream: usize) -> usize {
         self.verdicts[stream].resident_bytes()
             + self
@@ -508,13 +636,13 @@ impl BatchFormer {
                 .get(stream)
                 .map_or(0, LstmLane::resident_bytes)
             + size_of::<SparseOutcome>()
-            + size_of::<bool>()
+            + self.queue.stream_bytes()
     }
 
     /// Resident bytes of the reusable cross-stream scratch (window
-    /// queue and batch buffer).
+    /// slab, ready heap and batch buffer).
     pub(crate) fn scratch_bytes(&self) -> usize {
-        (self.queue.capacity() + self.batch.capacity()) * size_of::<(usize, VectorPayload)>()
+        self.queue.scratch_bytes() + self.batch.capacity() * size_of::<(usize, VectorPayload)>()
     }
 }
 
@@ -704,6 +832,69 @@ mod tests {
                 "max_batch 1 scores one window per batch"
             );
             assert!(wide_batches < narrow_batches);
+        }
+    }
+
+    /// The lockstep batch formation the per-stream queue replaced: one
+    /// arrival-order queue, scanned once per batch, with windows that
+    /// do not join the batch rotated to the back.
+    fn rotation_batch(queue: &mut VecDeque<(usize, u32)>, max_batch: usize) -> Vec<(usize, u32)> {
+        let mut batch: Vec<(usize, u32)> = Vec::new();
+        for _ in 0..queue.len() {
+            let (stream, w) = queue.pop_front().expect("fixed length");
+            if batch.len() < max_batch && batch.iter().all(|&(s, _)| s != stream) {
+                batch.push((stream, w));
+            } else {
+                queue.push_back((stream, w));
+            }
+        }
+        batch
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The per-stream lockstep queue forms exactly the rotation
+        /// algorithm's batches, members and order, for batch bounds
+        /// below and above the stream count, over random interleavings
+        /// of arrivals and batches, then a full drain.
+        #[test]
+        fn lockstep_queue_forms_the_rotation_algorithms_batches(
+            streams in 1usize..12,
+            ops in proptest::collection::vec((0u8..4, 0usize..12), 0..300),
+            narrow in 1usize..5,
+            wide in any::<bool>(),
+        ) {
+            let max_batch = if wide { 4096 } else { narrow };
+            let mut queue = WindowQueue::new(true);
+            (0..streams).for_each(|_| queue.register());
+            let mut reference = VecDeque::new();
+            let mut batch = Vec::new();
+            let mut take = |queue: &mut WindowQueue, reference: &mut VecDeque<(usize, u32)>| {
+                queue.take_batch(max_batch, &mut batch);
+                let got: Vec<(usize, u32)> = batch
+                    .iter()
+                    .map(|(s, p)| (*s, p.as_token().expect("token window")))
+                    .collect();
+                (got, rotation_batch(reference, max_batch))
+            };
+            for (w, &(op, stream)) in ops.iter().enumerate() {
+                if op < 3 {
+                    let stream = stream % streams;
+                    queue.push(stream, VectorPayload::Token(w as u32));
+                    reference.push_back((stream, w as u32));
+                } else {
+                    let (got, want) = take(&mut queue, &mut reference);
+                    prop_assert_eq!(got, want);
+                }
+                prop_assert_eq!(queue.len(), reference.len());
+            }
+            while !queue.is_empty() {
+                let (got, want) = take(&mut queue, &mut reference);
+                prop_assert!(!got.is_empty());
+                prop_assert_eq!(got, want);
+            }
+            prop_assert!(reference.is_empty());
         }
     }
 

@@ -11,14 +11,16 @@
 //!
 //! The serving plane is gated on clean traffic and on clean streams
 //! mixed with damaged ones (`rtad_trace::hostile`): resynchronizing
-//! after damage must not allocate either.
+//! after damage must not allocate either. The single-vector model
+//! paths are gated too: a warm scalar LSTM step allocates nothing, and
+//! LSTM training allocates the same on a corpus twice as long.
 //!
 //! Everything lives in one `#[test]` so no sibling test thread can
 //! allocate while the counting gate is open.
 
 use rtad_alloc_counter::{allocations, CountingAlloc};
 use rtad_igm::{IgmConfig, StreamingIgm, VectorPayload};
-use rtad_ml::{BatchArena, Elm, ElmConfig, Lstm, LstmConfig, LstmLane};
+use rtad_ml::{BatchArena, Elm, ElmConfig, Lstm, LstmConfig, LstmLane, SequenceModel};
 use rtad_soc::{
     ServeModel, ServeSpec, ShardConfig, ShardFeeder, ShardedSparsePipeline, SparseConfig,
     SparsePipeline, VerdictPolicy,
@@ -211,6 +213,37 @@ fn hot_paths_are_allocation_free_in_steady_state() {
     });
     assert_eq!(lens, RAGGED);
     assert_eq!(n, 0, "steady-state LSTM batches made {n} allocations");
+
+    // --- The scalar LSTM step, which the serial oracle runs: once a
+    // reset has sized the state, stepping allocates nothing.
+    let mut scalar = lstm.clone();
+    scalar.reset();
+    let mut surprise = 0.0f64;
+    let n = settled_allocations(|| {
+        for i in 0..1000u32 {
+            surprise += scalar.score_next((i * 3 + i / 5) % vocab as u32);
+        }
+    });
+    assert!(surprise.is_finite() && surprise > 0.0);
+    assert_eq!(n, 0, "steady-state scalar LSTM steps made {n} allocations");
+
+    // --- LSTM training allocates per call, not per token step: the
+    // chunk tape, gradients and optimizer state are sized once, so a
+    // corpus twice as long costs the same allocations.
+    let mut cfg = LstmConfig::rtad();
+    cfg.epochs = 2;
+    let corpus_of = |len: u32| -> Vec<u32> { (0..len).map(|i| (i * 7 + i / 3) % 64).collect() };
+    let (short, long) = (corpus_of(600), corpus_of(1200));
+    let on_short = settled_allocations(|| drop(Lstm::train(&cfg, &short, 3)));
+    let on_long = settled_allocations(|| drop(Lstm::train(&cfg, &long, 3)));
+    assert!(on_short > 0, "training must allocate its model and buffers");
+    assert_eq!(
+        on_short,
+        on_long,
+        "Lstm::train made {on_short} allocations on {} tokens and {on_long} on {}",
+        short.len(),
+        long.len()
+    );
 
     // --- Sparse-readiness ingest (PR 9): once streams are registered,
     // the whole sparse hot path — ring push/drain, readiness

@@ -556,12 +556,9 @@ proptest! {
     ) {
         let spec = spec_for(model_choice);
         let templates = synth_streams(&[400, 250, 330], if matches!(model_choice, ModelChoice::Elm) { 8 } else { 6 });
-        // A batch bound above the population: lockstep batch formation
-        // scans the whole queue once per batch, which at a small bound
-        // would dominate the run with thousands of streams ready.
         let mut p = SparsePipeline::new(
             spec.clone(),
-            SparseConfig { ring_capacity, max_batch: 4096, drain_bytes: 64 },
+            SparseConfig { ring_capacity, max_batch: 16, drain_bytes: 64 },
         );
         p.register_many(n);
         let mut model = RingModel::new(n, ring_capacity, 64);
