@@ -129,7 +129,8 @@ fn fleet_ptm_bytes(branches: usize, seed: u64) -> Vec<u8> {
         let mut data = [0; FRAME_BYTES - 1];
         let n = deframer
             .feed_frame_bytes(frame, &mut data)
-            .expect("own frames deframe");
+            .expect("own frames deframe")
+            .ptm;
         ptm.extend_from_slice(&data[..n]);
     }
     ptm

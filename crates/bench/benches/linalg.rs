@@ -1,5 +1,5 @@
 //! Criterion microbenchmarks of the `rtad-ml` linear-algebra hot loops
-//! (matvec / matvec_t / matmul, and the lane-major batch product
+//! (matvec_t / matmul, and the lane-major batch product
 //! matmul_lanes) at the shapes the deployed models use: the ELM's
 //! 16→64 hidden layer and the LSTM's gate matrices. These are the
 //! host-side training/inference kernels; the simulated engine path is
@@ -38,13 +38,7 @@ fn bench_matvec(c: &mut Criterion) {
     // (rows, cols): ELM hidden layer, LSTM gate block, a square case.
     for &(rows, cols) in &[(64usize, 16usize), (64, 32), (96, 96)] {
         let m = dense(rows, cols, 1);
-        let x = dense_vec(cols, 2);
         let xt = dense_vec(rows, 3);
-        group.bench_with_input(
-            BenchmarkId::new("matvec", format!("{rows}x{cols}")),
-            &m,
-            |b, m| b.iter(|| m.matvec(&x)),
-        );
         group.bench_with_input(
             BenchmarkId::new("matvec_t", format!("{rows}x{cols}")),
             &m,

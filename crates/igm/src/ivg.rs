@@ -18,7 +18,10 @@
 //!   vector over the accepted token alphabet; the ELM's input (Creech &
 //!   Hu-style syscall features).
 //!
-//! The whole IVG takes 2 MLPU cycles (the paper's measured 16 ns).
+//! The whole IVG takes 2 MLPU cycles (the paper's measured 16 ns). The
+//! mapper and encoder run inside the IGM's one decode core
+//! ([`crate::streaming`]); [`InputVectorGenerator`] keeps the IVG's
+//! Table I area and its latency.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -27,8 +30,6 @@ use serde::{Deserialize, Serialize};
 
 use rtad_sim::{AreaEstimate, ClockDomain, Picos};
 use rtad_trace::VirtAddr;
-
-use crate::ta::DecodedAddress;
 
 /// Hasher of the address-mapper table: one multiply by a 64-bit odd
 /// constant, folded so the bucket index (low bits) and hashbrown's tag
@@ -289,31 +290,21 @@ impl VectorEncoder {
     }
 }
 
-/// The composed IVG with its 2-cycle latency.
-#[derive(Debug, Clone)]
-pub struct InputVectorGenerator {
-    mapper: AddressMapper,
-    encoder: VectorEncoder,
-    clock: ClockDomain,
-    accepted: u64,
-    filtered: u64,
-}
-
 /// The paper-measured IVG pipeline depth in MLPU cycles ("requires only
 /// 2 cycles (16ns)").
 pub const IVG_CYCLES: u64 = 2;
 
+/// The IVG's timing and area: a vector leaves [`IVG_CYCLES`] after its
+/// address left the P2S.
+#[derive(Debug, Clone)]
+pub struct InputVectorGenerator {
+    clock: ClockDomain,
+}
+
 impl InputVectorGenerator {
-    /// Creates an IVG.
-    pub fn new(mapper: AddressMapper, format: VectorFormat, clock: ClockDomain) -> Self {
-        let vocab = mapper.vocab_size().max(1);
-        InputVectorGenerator {
-            mapper,
-            encoder: VectorEncoder::new(format, vocab),
-            clock,
-            accepted: 0,
-            filtered: 0,
-        }
+    /// Creates an IVG clocked in the given (MLPU) domain.
+    pub fn new(clock: ClockDomain) -> Self {
+        InputVectorGenerator { clock }
     }
 
     /// Table I synthesis result for the IVG.
@@ -321,55 +312,16 @@ impl InputVectorGenerator {
         AreaEstimate::new(890, 1_067, 0, 10_430)
     }
 
-    /// Addresses accepted so far.
-    pub fn accepted(&self) -> u64 {
-        self.accepted
-    }
-
-    /// Addresses filtered out so far.
-    pub fn filtered(&self) -> u64 {
-        self.filtered
-    }
-
-    /// The address mapper in use.
-    pub fn mapper(&self) -> &AddressMapper {
-        &self.mapper
-    }
-
-    /// Processes one serialized address. Returns the encoded vector,
-    /// timestamped `IVG_CYCLES` after the input, or `None` if the
-    /// address was filtered by the mapper.
-    pub fn process(&mut self, addr: &DecodedAddress) -> Option<(Picos, VectorPayload)> {
-        match self.mapper.map(addr.target) {
-            None => {
-                self.filtered += 1;
-                None
-            }
-            Some(token) => {
-                self.accepted += 1;
-                let payload = self.encoder.encode(token);
-                let done = addr.at + self.clock.cycles_to_picos(IVG_CYCLES);
-                Some((done, payload))
-            }
-        }
+    /// When the vector of an address that left the P2S at `departure`
+    /// leaves the IVG.
+    pub fn exit(&self, departure: Picos) -> Picos {
+        departure + self.clock.cycles_to_picos(IVG_CYCLES)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rtad_trace::IsetMode;
-
-    fn decoded(addr: u32, at_ns: u64) -> DecodedAddress {
-        DecodedAddress {
-            target: VirtAddr::new(addr),
-            mode: IsetMode::Arm,
-            exception: None,
-            context_id: 0,
-            at: Picos::from_nanos(at_ns),
-            unit: 0,
-        }
-    }
 
     #[test]
     fn mapper_assigns_stable_tokens() {
@@ -422,15 +374,11 @@ mod tests {
     #[test]
     fn ivg_filters_and_timestamps() {
         let mapper = AddressMapper::from_entries([(VirtAddr::new(0x100), 0)]);
-        let mut ivg =
-            InputVectorGenerator::new(mapper, VectorFormat::TokenStream, ClockDomain::rtad_mlpu());
-        assert!(ivg.process(&decoded(0x999, 8)).is_none());
-        let (t, payload) = ivg.process(&decoded(0x100, 8)).unwrap();
+        assert_eq!(mapper.map(VirtAddr::new(0x999)), None);
+        assert_eq!(mapper.map(VirtAddr::new(0x100)), Some(0));
         // 2 cycles at 125 MHz = 16 ns after the 8 ns input.
-        assert_eq!(t, Picos::from_nanos(24));
-        assert_eq!(payload, VectorPayload::Token(0));
-        assert_eq!(ivg.accepted(), 1);
-        assert_eq!(ivg.filtered(), 1);
+        let ivg = InputVectorGenerator::new(ClockDomain::rtad_mlpu());
+        assert_eq!(ivg.exit(Picos::from_nanos(8)), Picos::from_nanos(24));
     }
 
     #[test]

@@ -1,15 +1,32 @@
 //! The composed IGM: TA → P2S → IVG with cycle-accurate timing.
+//!
+//! [`Igm`] is the IGM's one decode core ([`StreamingIgm`]) plus a timing
+//! observer that stamps each vector with the time it leaves the IVG:
+//!
+//! * **TA.** A frame's time is the arrival of its last byte. Word `k` of
+//!   the frame's burst (the whole words completed once its data is
+//!   appended, possibly starting with bytes carried from the frame
+//!   before) leaves the TA at `next_edge(frame time) + (k + 1)` cycles.
+//! * **P2S.** A burst's survivors leave one per cycle from the first
+//!   edge at or after both the port's next free slot and the TA time of
+//!   the burst's first admitted address.
+//! * **IVG.** A vector leaves [`IVG_CYCLES`](crate::ivg::IVG_CYCLES)
+//!   after its address left the P2S.
+//!
+//! At end of trace the carried bytes decode as one word, one cycle after
+//! the edge at or after the trace's last byte.
 
 use serde::{Deserialize, Serialize};
 
-use rtad_sim::{AreaEstimate, ClockDomain, FifoStats, Picos};
+use rtad_sim::{AreaEstimate, ClockDomain, Picos};
 use rtad_trace::stream::TimedTrace;
 use rtad_trace::tpiu::FRAME_BYTES;
 use rtad_trace::VirtAddr;
 
 use crate::ivg::{AddressMapper, InputVectorGenerator, VectorFormat, VectorPayload};
 use crate::p2s::P2sConverter;
-use crate::ta::{TaStats, TraceAnalyzer};
+use crate::streaming::{StreamingIgm, StreamingStats, Timing, FRAMES_PER_PASS};
+use crate::ta::TraceAnalyzer;
 
 /// Configuration of an IGM instance.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -90,32 +107,13 @@ pub struct TimedVector {
     pub payload: VectorPayload,
 }
 
-/// IGM run statistics.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct IgmStats {
-    /// Trace-analyzer counters.
-    pub ta: TaStats,
-    /// P2S FIFO counters.
-    pub p2s_fifo: FifoStats,
-    /// Addresses accepted by the mapper.
-    pub accepted: u64,
-    /// Addresses filtered by the mapper.
-    pub filtered: u64,
-}
-
 /// Output of one IGM run.
 #[derive(Debug, Clone, Default)]
 pub struct IgmOutput {
     /// Encoded vectors in production order.
     pub vectors: Vec<TimedVector>,
-    /// Counters.
-    pub stats: IgmStats,
-}
-
-impl IgmOutput {
-    fn stats_default() -> IgmStats {
-        IgmStats::default()
-    }
+    /// Counters of the decode core, cumulative over the IGM's runs.
+    pub stats: StreamingStats,
 }
 
 /// The Input Generation Module.
@@ -123,21 +121,22 @@ impl IgmOutput {
 /// See the [crate documentation](crate) for an end-to-end example.
 #[derive(Debug, Clone)]
 pub struct Igm {
-    ta: TraceAnalyzer,
-    p2s: P2sConverter,
-    ivg: InputVectorGenerator,
-    context_filter: Option<u32>,
+    core: StreamingIgm,
+    clock: Clocked,
 }
 
 impl Igm {
     /// Builds an IGM from a configuration.
     pub fn new(config: IgmConfig) -> Self {
-        let mapper = AddressMapper::from_entries(config.table.iter().copied());
         Igm {
-            ta: TraceAnalyzer::new(config.clock.clone()),
-            p2s: P2sConverter::new(config.clock.clone(), config.p2s_depth),
-            ivg: InputVectorGenerator::new(mapper, config.format, config.clock),
-            context_filter: config.context_filter,
+            core: StreamingIgm::new(&config),
+            clock: Clocked {
+                ta: TraceAnalyzer::new(config.clock.clone()),
+                p2s: P2sConverter::new(config.clock.clone()),
+                ivg: InputVectorGenerator::new(config.clock),
+                frame_at: [Picos::ZERO; FRAMES_PER_PASS],
+                exits: Vec::new(),
+            },
         }
     }
 
@@ -148,7 +147,7 @@ impl Igm {
 
     /// The address mapper in use.
     pub fn mapper(&self) -> &AddressMapper {
-        self.ivg.mapper()
+        self.core.mapper()
     }
 
     /// Processes a complete timed TPIU byte stream, producing the input
@@ -157,74 +156,63 @@ impl Igm {
     /// Incomplete trailing frames (possible only if the stream was
     /// truncated mid-frame) are dropped, as the hardware would.
     pub fn process_trace(&mut self, trace: &TimedTrace) -> IgmOutput {
-        let mut out = IgmOutput {
-            vectors: Vec::new(),
-            stats: IgmOutput::stats_default(),
+        let mut vectors = Vec::new();
+        let mut frames = [0u8; FRAMES_PER_PASS * FRAME_BYTES];
+        for pass in trace.bytes.chunks(FRAMES_PER_PASS * FRAME_BYTES) {
+            let pass = &pass[..pass.len() - pass.len() % FRAME_BYTES];
+            for (b, tb) in frames.iter_mut().zip(pass) {
+                *b = tb.byte;
+            }
+            for (at, frame) in self.clock.frame_at.iter_mut().zip(pass.chunks(FRAME_BYTES)) {
+                *at = frame[FRAME_BYTES - 1].at;
+            }
+            self.core
+                .push_frames_timed(&frames[..pass.len()], &mut vectors, &mut self.clock);
+        }
+        // Straggler TA bytes (sub-word) decode after the last byte.
+        self.clock.frame_at[0] = trace.bytes.last().map_or(Picos::ZERO, |tb| tb.at);
+        self.core.finish_timed(&mut vectors, &mut self.clock);
+
+        let vectors = vectors
+            .into_iter()
+            .zip(self.clock.exits.drain(..))
+            .map(|(v, at)| TimedVector {
+                at,
+                target: v.target,
+                context_id: v.context_id,
+                payload: v.payload,
+            })
+            .collect();
+        IgmOutput {
+            vectors,
+            stats: self.core.stats(),
+        }
+    }
+}
+
+/// The timing observer of [`Igm`]: TA word time, P2S departure and IVG
+/// exit of every admitted address.
+#[derive(Debug, Clone)]
+struct Clocked {
+    ta: TraceAnalyzer,
+    p2s: P2sConverter,
+    ivg: InputVectorGenerator,
+    /// Arrival of the last byte of each frame of the current pass.
+    frame_at: [Picos; FRAMES_PER_PASS],
+    /// IVG exit times of the vectors emitted so far, in order.
+    exits: Vec<Picos>,
+}
+
+impl Timing for Clocked {
+    fn admit(&mut self, burst: usize, word: usize, slot: usize, accepted: bool) {
+        let departure = if slot == 0 {
+            let ta = self.ta.word_done(self.frame_at[burst], word);
+            self.p2s.depart_first(ta)
+        } else {
+            self.p2s.depart_next()
         };
-
-        let mut frame = [0u8; FRAME_BYTES];
-        let mut fill = 0usize;
-        let mut frame_at = Picos::ZERO;
-        for tb in &trace.bytes {
-            frame[fill] = tb.byte;
-            fill += 1;
-            frame_at = tb.at;
-            if fill == FRAME_BYTES {
-                fill = 0;
-                self.feed_frame(&frame, frame_at, &mut out);
-            }
-        }
-        // Straggler TA bytes (sub-word) at end of stream.
-        let tail = self.ta.flush(frame_at);
-        self.route_addresses(&tail, &mut out);
-        let rest = self.p2s.drain(frame_at);
-        self.encode_addresses(&rest, &mut out);
-
-        out.stats.ta = self.ta.stats();
-        out.stats.p2s_fifo = self.p2s.fifo_stats();
-        out.stats.accepted = self.ivg.accepted();
-        out.stats.filtered = self.ivg.filtered();
-        out
-    }
-
-    fn feed_frame(&mut self, frame: &[u8; FRAME_BYTES], at: Picos, out: &mut IgmOutput) {
-        match self.ta.feed_frame(frame, at) {
-            Ok(addrs) => self.route_addresses(&addrs, out),
-            Err(_) => {
-                // Malformed frame: hardware drops it and waits for the
-                // next alignment; counted in TA stats via decode errors.
-            }
-        }
-    }
-
-    fn route_addresses(&mut self, addrs: &[crate::ta::DecodedAddress], out: &mut IgmOutput) {
-        // Context filtering happens before the P2S stage: branches of
-        // other processes never consume serializer slots.
-        let mine: Vec<crate::ta::DecodedAddress> = match self.context_filter {
-            None => addrs.to_vec(),
-            Some(ctx) => addrs
-                .iter()
-                .filter(|a| a.context_id == ctx)
-                .copied()
-                .collect(),
-        };
-        if mine.is_empty() {
-            return;
-        }
-        let serialized = self.p2s.push_burst(&mine);
-        self.encode_addresses(&serialized, out);
-    }
-
-    fn encode_addresses(&mut self, addrs: &[crate::ta::DecodedAddress], out: &mut IgmOutput) {
-        for a in addrs {
-            if let Some((at, payload)) = self.ivg.process(a) {
-                out.vectors.push(TimedVector {
-                    at,
-                    target: a.target,
-                    context_id: a.context_id,
-                    payload,
-                });
-            }
+        if accepted {
+            self.exits.push(self.ivg.exit(departure));
         }
     }
 }

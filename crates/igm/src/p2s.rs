@@ -5,52 +5,45 @@
 //! converter (P2S) between TA and input vector generator" (§III-A).
 //! Up to four addresses completing in one TA cycle are serialized toward
 //! the IVG at one address per MLPU cycle through a small hardware FIFO.
+//!
+//! The FIFO empties between bursts, so its depth only bounds how many
+//! addresses of one burst survive; the decode core
+//! ([`crate::streaming`]) applies that bound. This type keeps the
+//! P2S's Table I area and its departure schedule.
 
-use rtad_sim::{AreaEstimate, ClockDomain, FifoStats, HwFifo, OverflowPolicy, Picos};
+use rtad_sim::{AreaEstimate, ClockDomain, Picos};
 
-use crate::ta::DecodedAddress;
-
-/// The P2S converter: serializes same-cycle TA outputs.
+/// The P2S converter's departure schedule: one address per MLPU cycle.
 ///
 /// # Examples
 ///
 /// ```
 /// use rtad_igm::P2sConverter;
-/// use rtad_igm::ta::DecodedAddress;
 /// use rtad_sim::{ClockDomain, Picos};
-/// use rtad_trace::{IsetMode, VirtAddr};
 ///
-/// let mut p2s = P2sConverter::new(ClockDomain::rtad_mlpu(), 8);
+/// let clock = ClockDomain::rtad_mlpu();
+/// let period = clock.freq().period();
+/// let mut p2s = P2sConverter::new(clock);
+/// // Four addresses that completed in the same TA cycle leave on four
+/// // consecutive cycles.
 /// let t = Picos::from_nanos(8);
-/// let burst: Vec<DecodedAddress> = (0..4)
-///     .map(|i| DecodedAddress {
-///         target: VirtAddr::new(0x100 * (i + 1)),
-///         mode: IsetMode::Arm,
-///         exception: None,
-///         context_id: 0,
-///         at: t,
-///         unit: i as u8,
-///     })
-///     .collect();
-/// let serialized = p2s.push_burst(&burst);
-/// // Four same-cycle addresses leave on four consecutive cycles.
-/// assert_eq!(serialized.len(), 4);
-/// assert!(serialized.windows(2).all(|w| w[1].at > w[0].at));
+/// let first = p2s.depart_first(t);
+/// let rest: Vec<Picos> = (0..3).map(|_| p2s.depart_next()).collect();
+/// assert_eq!(first, t);
+/// assert_eq!(rest, [t + period, t + period * 2, t + period * 3]);
 /// ```
 #[derive(Debug, Clone)]
 pub struct P2sConverter {
     clock: ClockDomain,
-    fifo: HwFifo<DecodedAddress>,
     /// Next cycle edge at which an output slot is free.
     next_free: Picos,
 }
 
 impl P2sConverter {
-    /// Creates a P2S with the given FIFO depth.
-    pub fn new(clock: ClockDomain, depth: usize) -> Self {
+    /// Creates an idle P2S.
+    pub fn new(clock: ClockDomain) -> Self {
         P2sConverter {
             clock,
-            fifo: HwFifo::new(depth, OverflowPolicy::DropNewest),
             next_free: Picos::ZERO,
         }
     }
@@ -60,102 +53,95 @@ impl P2sConverter {
         AreaEstimate::new(686, 1_074, 0, 14_363)
     }
 
-    /// FIFO statistics (drops mean the TA out-ran the serializer).
-    pub fn fifo_stats(&self) -> FifoStats {
-        self.fifo.stats()
-    }
-
-    /// Pushes the addresses decoded in one TA cycle and drains whatever
-    /// can leave, one per cycle, starting at the burst's timestamp.
-    /// Returned addresses carry their serialized departure times.
-    pub fn push_burst(&mut self, burst: &[DecodedAddress]) -> Vec<DecodedAddress> {
-        for &a in burst {
-            self.fifo.push(a);
-        }
-        let now = burst.first().map_or(self.next_free, |a| a.at);
-        self.drain_from(now)
-    }
-
-    /// Drains everything still queued starting at `now`.
-    pub fn drain(&mut self, now: Picos) -> Vec<DecodedAddress> {
-        self.drain_from(now)
-    }
-
-    fn drain_from(&mut self, now: Picos) -> Vec<DecodedAddress> {
-        let period = self.clock.freq().period();
-        let mut t = self.clock.next_edge_at_or_after(self.next_free.max(now));
-        let mut out = Vec::with_capacity(self.fifo.len());
-        while let Some(mut a) = self.fifo.pop() {
-            a.at = t;
-            out.push(a);
-            t += period;
-        }
+    /// Departure of a burst's first survivor, whose address left the TA
+    /// at `ta_at`: the first edge at or after both `ta_at` and the
+    /// port's next free slot.
+    pub fn depart_first(&mut self, ta_at: Picos) -> Picos {
+        let t = self.clock.next_edge_at_or_after(self.next_free.max(ta_at));
         self.next_free = t;
-        out
+        self.depart_next()
+    }
+
+    /// Departure of the burst's next survivor: one cycle after the one
+    /// before. Departures count from the burst's first address, even
+    /// when later ones complete in later TA words.
+    pub fn depart_next(&mut self) -> Picos {
+        let t = self.next_free;
+        self.next_free = t + self.clock.freq().period();
+        t
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rtad_trace::{IsetMode, VirtAddr};
-
-    fn addr(i: u32, at: Picos) -> DecodedAddress {
-        DecodedAddress {
-            target: VirtAddr::new(0x1000 + i * 4),
-            mode: IsetMode::Arm,
-            exception: None,
-            context_id: 0,
-            at,
-            unit: (i % 4) as u8,
-        }
-    }
 
     #[test]
     fn serializes_one_per_cycle() {
         let clock = ClockDomain::rtad_mlpu();
         let period = clock.freq().period();
-        let mut p2s = P2sConverter::new(clock, 8);
+        let mut p2s = P2sConverter::new(clock);
         let t0 = Picos::from_nanos(16);
-        let out = p2s.push_burst(&[addr(0, t0), addr(1, t0), addr(2, t0)]);
-        assert_eq!(out.len(), 3);
-        assert_eq!(out[0].at, t0);
-        assert_eq!(out[1].at, t0 + period);
-        assert_eq!(out[2].at, t0 + period * 2);
+        assert_eq!(p2s.depart_first(t0), t0);
+        assert_eq!(p2s.depart_next(), t0 + period);
+        assert_eq!(p2s.depart_next(), t0 + period * 2);
     }
 
     #[test]
     fn back_to_back_bursts_queue_behind_each_other() {
         let clock = ClockDomain::rtad_mlpu();
         let period = clock.freq().period();
-        let mut p2s = P2sConverter::new(clock, 8);
-        let t0 = Picos::from_nanos(0);
-        let first = p2s.push_burst(&[addr(0, t0), addr(1, t0), addr(2, t0), addr(3, t0)]);
+        let mut p2s = P2sConverter::new(clock);
+        let t0 = Picos::ZERO;
+        p2s.depart_first(t0);
+        let last = (0..3).map(|_| p2s.depart_next()).last().unwrap();
         // Second burst arrives one cycle later but the port is busy.
-        let t1 = t0 + period;
-        let second = p2s.push_burst(&[addr(4, t1)]);
-        assert_eq!(second[0].at, first[3].at + period);
+        assert_eq!(p2s.depart_first(t0 + period), last + period);
     }
 
     #[test]
     fn idle_gap_resets_to_arrival_time() {
         let clock = ClockDomain::rtad_mlpu();
-        let mut p2s = P2sConverter::new(clock, 8);
-        p2s.push_burst(&[addr(0, Picos::from_nanos(8))]);
+        let mut p2s = P2sConverter::new(clock);
+        p2s.depart_first(Picos::from_nanos(8));
         let late = Picos::from_micros(5);
-        let out = p2s.push_burst(&[addr(1, late)]);
-        assert_eq!(out[0].at, late);
+        assert_eq!(p2s.depart_first(late), late);
     }
 
     #[test]
     fn overflow_drops_and_counts() {
-        let clock = ClockDomain::rtad_mlpu();
-        let mut p2s = P2sConverter::new(clock, 2);
-        let t0 = Picos::ZERO;
-        let burst: Vec<_> = (0..5).map(|i| addr(i, t0)).collect();
-        let out = p2s.push_burst(&burst);
-        assert_eq!(out.len(), 2);
-        assert_eq!(p2s.fifo_stats().dropped, 3);
+        use crate::{IgmConfig, StreamingIgm};
+        use rtad_trace::ptm::{Packet, PacketEncoder};
+        use rtad_trace::tpiu::TpiuFormatter;
+        use rtad_trace::{IsetMode, TraceId, VirtAddr};
+
+        // A-sync (6 bytes) and eight one-byte branches: the frame's
+        // burst completes six addresses, the two carried bytes two more
+        // at end of stream.
+        let mut enc = PacketEncoder::new();
+        let mut fmt = TpiuFormatter::new();
+        fmt.push_slice(TraceId::PTM, &enc.encode(&Packet::Async));
+        for _ in 0..8 {
+            let branch = Packet::branch(VirtAddr::new(0x40), IsetMode::Arm);
+            fmt.push_slice(TraceId::PTM, &enc.encode(&branch));
+        }
+        let mut config = IgmConfig::token_stream(&[VirtAddr::new(0x40)]);
+        config.p2s_depth = 2;
+        let mut igm = StreamingIgm::new(&config);
+        let mut out = Vec::new();
+        igm.push_bytes(&fmt.flush().concat(), &mut out);
+        igm.finish(&mut out);
+        assert_eq!(out.len(), 4);
+        assert_eq!(igm.stats().p2s_dropped, 4);
+    }
+
+    #[test]
+    fn departures_start_on_a_clock_edge() {
+        let mut p2s = P2sConverter::new(ClockDomain::rtad_mlpu());
+        assert_eq!(
+            p2s.depart_first(Picos::from_nanos(9)),
+            Picos::from_nanos(16)
+        );
     }
 
     #[test]

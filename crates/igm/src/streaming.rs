@@ -1,22 +1,27 @@
-//! Incremental (streaming) vector emission for the serving pipeline.
+//! The IGM's one decode core, and the serving path built on it.
 //!
-//! [`Igm::process_trace`](crate::Igm::process_trace) is a whole-trace
-//! batch API with cycle-accurate timing: it simulates MLPU clock edges,
-//! the P2S serialization schedule and per-word TA latencies to produce
-//! `TimedVector`s for the MCM's timed simulation. A serving host
-//! multiplexing many victim streams needs neither the batch shape nor
-//! the timestamps — it needs to push trace bytes *as they arrive* and
-//! get encoded vectors back immediately.
+//! Every packet the IGM decodes goes through [`IgmSession`]. Whole TPIU
+//! frames deframe behind the bytes of an incomplete word carried from
+//! the frame before, keeping only the PTM's bytes
+//! ([`TraceId::PTM`](rtad_trace::TraceId::PTM)); up to eight frames then
+//! decode in one [`PacketDecoder::feed_slice`] call, whose sink runs the
+//! context filter, the P2S admission bound, the mapper and the encoder
+//! on each branch address. Each deframed frame ends a TA burst at its
+//! last whole word. The P2S FIFO empties between bursts, so only the
+//! first `p2s_depth` addresses of a burst that pass the context filter
+//! survive; mapper misses take a slot too, because the mapper sits
+//! after the P2S.
 //!
-//! [`StreamingIgm`] is that incremental path. It runs the **same**
-//! deframer, the **same** packet state machine, the same context
-//! tracking, the same per-frame P2S admission (the P2S FIFO drains
-//! completely between bursts, so its only effect on vector *content* is
-//! truncating each burst to the FIFO depth — replicated here without
-//! simulating departure times) and the same mapper/encoder. The vector
-//! sequence it emits is therefore identical to `process_trace`'s,
-//! payload for payload — pinned by this module's tests — while doing no
-//! `Picos` arithmetic and no per-word allocation.
+//! A timing model rides on the core as an observer (`Timing`): it is
+//! told the burst, word and P2S slot of every admitted address. The
+//! serving path's observer is zero-sized and does nothing, so the
+//! generic compiles away; [`Igm::process_trace`](crate::Igm::process_trace)
+//! passes one that adds TA word times, P2S departures and IVG exits.
+//!
+//! A serving host multiplexing many victim streams keeps one
+//! [`IgmShared`] (the mapper table and configuration) and one compact
+//! [`IgmSession`] per stream. [`StreamingIgm`] bundles the two for a
+//! single stream.
 
 use std::mem::size_of;
 
@@ -27,7 +32,7 @@ use rtad_trace::VirtAddr;
 use crate::ivg::{AddressMapper, VectorEncoder, VectorPayload};
 use crate::module::IgmConfig;
 
-/// One vector emitted by the streaming path: the timed path's
+/// One vector emitted by the decode core: the timed path's
 /// `TimedVector` minus the timestamp.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StreamedVector {
@@ -44,6 +49,8 @@ pub struct StreamedVector {
 pub struct StreamingStats {
     /// Complete TPIU frames consumed.
     pub frames: u64,
+    /// Data bytes of trace sources other than the PTM, skipped.
+    pub foreign_bytes: u64,
     /// PTM packets completed.
     pub packets: u64,
     /// Branch addresses extracted.
@@ -137,6 +144,23 @@ const _: () = {
     assert_sync::<StreamedVector>();
 };
 
+/// A timing model riding on the decode core.
+pub(crate) trait Timing {
+    /// The P2S admitted an address: it completed in word `word` (counted
+    /// from the burst's first word) of burst `burst` (the pass's frame
+    /// whose data ends it) and takes survivor slot `slot`. `accepted`
+    /// says whether the mapper passed it, so whether a vector follows.
+    fn admit(&mut self, burst: usize, word: usize, slot: usize, accepted: bool);
+}
+
+/// The serving path's observer: it times nothing.
+pub(crate) struct Untimed;
+
+impl Timing for Untimed {
+    #[inline(always)]
+    fn admit(&mut self, _: usize, _: usize, _: usize, _: bool) {}
+}
+
 /// The per-stream mutable state of the incremental TA →
 /// P2S-admission → IVG chain: deframer/decoder state machines, the
 /// sub-word TA lane buffer, a partial-frame staging buffer and the
@@ -154,7 +178,7 @@ pub struct IgmSession {
     /// Bytes of an incomplete 4-byte word awaiting the next frame (or
     /// `finish`): the TA's lane buffer. Word boundaries decide which
     /// *burst* an address belongs to, and burst boundaries decide P2S
-    /// truncation, so they must match the timed path.
+    /// truncation and the timed path's word times.
     carry: [u8; 3],
     carry_len: usize,
     /// Partial TPIU frame from `push_bytes` chunks.
@@ -171,7 +195,7 @@ pub struct IgmSession {
 
 /// Whole frames [`IgmSession::push_bytes`] deframes before decoding
 /// their bursts in one pass.
-const FRAMES_PER_PASS: usize = 8;
+pub(crate) const FRAMES_PER_PASS: usize = 8;
 
 /// Upper bound on recycled window buffers held per session; anything
 /// past this is dropped (recycling is an allocation optimization, never
@@ -239,14 +263,14 @@ impl IgmSession {
             }
             self.frame_fill = 0;
             let frame = self.frame_buf;
-            self.push_frames(shared, &frame, pool, out);
+            self.push_frames(shared, &frame, pool, out, &mut Untimed);
         }
         // Whole frames straight out of the chunk, not staged through
         // `frame_buf`; each pass decodes several frames' bursts in one
         // call.
         let whole = rest.len() - rest.len() % FRAME_BYTES;
         for pass in rest[..whole].chunks(FRAMES_PER_PASS * FRAME_BYTES) {
-            self.push_frames(shared, pass, pool, out);
+            self.push_frames(shared, pass, pool, out, &mut Untimed);
         }
         let tail = &rest[whole..];
         self.frame_buf[..tail.len()].copy_from_slice(tail);
@@ -262,7 +286,7 @@ impl IgmSession {
         out: &mut Vec<StreamedVector>,
     ) {
         let mut pool = std::mem::take(&mut self.pool);
-        self.push_frames(shared, frame, &mut pool, out);
+        self.push_frames(shared, frame, &mut pool, out, &mut Untimed);
         self.pool = pool;
     }
 
@@ -283,40 +307,53 @@ impl IgmSession {
         pool: &mut Vec<Vec<f32>>,
         out: &mut Vec<StreamedVector>,
     ) {
+        self.finish_timed(shared, pool, out, &mut Untimed);
+    }
+
+    /// [`finish_pooled`](Self::finish_pooled) under a timing model: the
+    /// carried bytes decode as one word, burst 0 of their own.
+    pub(crate) fn finish_timed(
+        &mut self,
+        shared: &IgmShared,
+        pool: &mut Vec<Vec<f32>>,
+        out: &mut Vec<StreamedVector>,
+        timing: &mut impl Timing,
+    ) {
         self.frame_fill = 0;
         let (carry, n) = (self.carry, self.carry_len);
-        self.decode_bursts(shared, &carry[..n], &[n], pool, out);
+        self.decode_bursts(shared, &carry[..n], &[n], pool, out, timing);
     }
 
     /// Deframes up to [`FRAMES_PER_PASS`] whole frames behind the carried
-    /// bytes and decodes them in one pass. Each frame that deframes ends
-    /// a TA burst at its last completed word; a malformed frame is
-    /// dropped whole and ends none.
-    fn push_frames(
+    /// bytes and decodes them in one pass. Frame `i` of the pass ends
+    /// burst `i` at its last completed word; a malformed frame is
+    /// dropped whole, so its burst is empty.
+    pub(crate) fn push_frames(
         &mut self,
         shared: &IgmShared,
         frames: &[u8],
         pool: &mut Vec<Vec<f32>>,
         out: &mut Vec<StreamedVector>,
+        timing: &mut impl Timing,
     ) {
         let mut bytes = [0u8; 3 + FRAMES_PER_PASS * (FRAME_BYTES - 1)];
         let mut len = self.carry_len;
         bytes[..len].copy_from_slice(&self.carry[..len]);
         let mut ends = [0; FRAMES_PER_PASS];
-        let mut n = 0;
-        for frame in frames.chunks_exact(FRAME_BYTES) {
+        let n = frames.len() / FRAME_BYTES;
+        for (frame, end) in frames.chunks_exact(FRAME_BYTES).zip(&mut ends) {
             let frame = frame.try_into().expect("chunk is frame-sized");
             let data = (&mut bytes[len..len + FRAME_BYTES - 1])
                 .try_into()
                 .expect("room for one frame");
-            if let Ok(k) = self.deframer.feed_frame_bytes(frame, data) {
+            if let Ok(got) = self.deframer.feed_frame_bytes(frame, data) {
                 self.stats.frames += 1;
-                len += k;
-                ends[n] = len - len % 4;
-                n += 1;
+                self.stats.foreign_bytes += got.foreign as u64;
+                len += got.ptm;
             }
+            *end = len - len % 4;
         }
-        self.decode_bursts(shared, &bytes[..len], &ends[..n], pool, out);
+        self.decode_bursts(shared, &bytes[..len], &ends[..n], pool, out, timing);
     }
 
     /// Decodes `bytes` up to the last of the burst ends `ends` in one
@@ -329,15 +366,15 @@ impl IgmSession {
         ends: &[usize],
         pool: &mut Vec<Vec<f32>>,
         out: &mut Vec<StreamedVector>,
+        timing: &mut impl Timing,
     ) {
         let take = ends.last().copied().unwrap_or(0);
         let packets_before = self.decoder.packets_decoded();
-        // P2S admission: the FIFO is empty at every burst start (the
-        // timed path drains it completely per burst), so only the first
-        // `depth` addresses of a burst that pass the context filter
-        // survive. An address belongs to the burst holding the byte
-        // that completed it.
-        let (mut burst, mut admitted) = (0, 0);
+        // P2S admission: the FIFO is empty at every burst start, so only
+        // the first `depth` addresses of a burst that pass the context
+        // filter survive. An address belongs to the burst holding the
+        // byte that completed it.
+        let (mut burst, mut start, mut admitted) = (0, 0, 0);
         let stats = &mut self.stats;
         let context_id = &mut self.context_id;
         let encoder = &mut self.encoder;
@@ -346,6 +383,7 @@ impl IgmSession {
                 Decoded::Branch { target, .. } => {
                     stats.addresses += 1;
                     while at >= ends[burst] {
+                        start = ends[burst];
                         burst += 1;
                         admitted = 0;
                     }
@@ -354,8 +392,10 @@ impl IgmSession {
                     } else if admitted == shared.p2s_depth {
                         stats.p2s_dropped += 1;
                     } else {
+                        let token = shared.mapper.map(target);
+                        timing.admit(burst, (at - start) / 4, admitted, token.is_some());
                         admitted += 1;
-                        match shared.mapper.map(target) {
+                        match token {
                             None => stats.filtered += 1,
                             Some(token) => {
                                 stats.accepted += 1;
@@ -432,6 +472,28 @@ impl StreamingIgm {
     /// dropped — both exactly as the timed path does.
     pub fn finish(&mut self, out: &mut Vec<StreamedVector>) {
         self.session.finish(&self.shared, out);
+    }
+
+    /// Decodes whole frames (at most [`FRAMES_PER_PASS`]) under a timing
+    /// model.
+    pub(crate) fn push_frames_timed(
+        &mut self,
+        frames: &[u8],
+        out: &mut Vec<StreamedVector>,
+        timing: &mut impl Timing,
+    ) {
+        let mut pool = std::mem::take(&mut self.session.pool);
+        self.session
+            .push_frames(&self.shared, frames, &mut pool, out, timing);
+        self.session.pool = pool;
+    }
+
+    /// [`finish`](Self::finish) under a timing model.
+    pub(crate) fn finish_timed(&mut self, out: &mut Vec<StreamedVector>, timing: &mut impl Timing) {
+        let mut pool = std::mem::take(&mut self.session.pool);
+        self.session
+            .finish_timed(&self.shared, &mut pool, out, timing);
+        self.session.pool = pool;
     }
 }
 
@@ -515,9 +577,9 @@ mod tests {
     }
 
     /// A shallow P2S FIFO truncates bursts: the streaming path must cut
-    /// each burst exactly where the timed path's FIFO does, however the
-    /// bytes are chunked (chunks of many frames decode their bursts in
-    /// one pass).
+    /// each burst exactly where the timed path does, however the bytes
+    /// are chunked (chunks of many frames decode their bursts in one
+    /// pass).
     #[test]
     fn p2s_truncation_matches_timed_path() {
         let (_, targets) = run_with_targets(1);

@@ -8,83 +8,25 @@
 //! responsible for each byte decoding." (§III-A)
 //!
 //! In RTL the four units form a combinational chain so a whole 32-bit
-//! word decodes in one cycle. Here each word goes to the reference
-//! decoder of [`rtad_trace::ptm`] as one burst
-//! ([`PacketDecoder::feed_slice`]); the byte offset at which a packet
-//! completes names the unit that completed it, and the analyzer accounts
-//! one MLPU cycle per word. The packet state machine is the *same* one
-//! the serving path and the byte-wise reference use, which is exactly
-//! the verification story the design needs: hardware TA output ≡
-//! reference decode.
+//! word decodes in one cycle. The decode itself is the IGM's one decode
+//! core ([`crate::streaming`]), which hands each frame's data to the
+//! reference decoder of [`rtad_trace::ptm`] as one burst; the byte at
+//! which a packet completes names the word, and the unit, that completed
+//! it. What is the TA's own is its Table I area and its timing: one MLPU
+//! cycle per word.
 
 use rtad_sim::{AreaEstimate, ClockDomain, Picos};
-use rtad_trace::ptm::{DecodeError, Decoded, PacketDecoder};
-use rtad_trace::tpiu::{DeframeError, TpiuDeframer, FRAME_BYTES};
-use rtad_trace::{IsetMode, VirtAddr};
 
-/// A branch target address extracted by the TA, with decode metadata.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DecodedAddress {
-    /// The branch target.
-    pub target: VirtAddr,
-    /// Instruction-set state at the target.
-    pub mode: IsetMode,
-    /// Exception number, if the branch entered an exception (syscalls).
-    pub exception: Option<u8>,
-    /// Process context the branch belongs to.
-    pub context_id: u32,
-    /// MLPU-clock time at which the address left the TA.
-    pub at: Picos,
-    /// Which of the four TA units completed the packet (0..=3).
-    pub unit: u8,
-}
-
-/// Cumulative TA statistics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct TaStats {
-    /// 32-bit words consumed.
-    pub words: u64,
-    /// Bytes consumed.
-    pub bytes: u64,
-    /// Packets completed.
-    pub packets: u64,
-    /// Branch addresses extracted.
-    pub addresses: u64,
-    /// Decode errors encountered (stream resynchronizes on A-sync).
-    pub decode_errors: u64,
-    /// Words in which more than one address completed (the reason the
-    /// P2S stage exists).
-    pub multi_address_words: u64,
-}
-
-/// The four-unit Trace Analyzer.
-///
-/// Feed it TPIU frames (as the MLPU port receives them); it returns the
-/// branch addresses completed per 32-bit word together with their
-/// completion times.
+/// The four-unit Trace Analyzer's timing and area.
 #[derive(Debug, Clone)]
 pub struct TraceAnalyzer {
-    deframer: TpiuDeframer,
-    decoder: PacketDecoder,
     clock: ClockDomain,
-    /// Context carried from I-sync/context-ID packets.
-    context_id: u32,
-    stats: TaStats,
-    /// Bytes awaiting word grouping (a frame is 4 words).
-    lane_buffer: Vec<u8>,
 }
 
 impl TraceAnalyzer {
     /// Creates a TA clocked in the given (MLPU) domain.
     pub fn new(clock: ClockDomain) -> Self {
-        TraceAnalyzer {
-            deframer: TpiuDeframer::new(),
-            decoder: PacketDecoder::new(),
-            clock,
-            context_id: 0,
-            stats: TaStats::default(),
-            lane_buffer: Vec::with_capacity(FRAME_BYTES),
-        }
+        TraceAnalyzer { clock }
     }
 
     /// Table I synthesis result for the Trace Analyzer.
@@ -92,146 +34,56 @@ impl TraceAnalyzer {
         AreaEstimate::new(11_962, 350, 0, 12_375)
     }
 
-    /// Statistics so far.
-    pub fn stats(&self) -> TaStats {
-        self.stats
-    }
-
-    /// The current process context (from the last I-sync / context-ID).
-    pub fn context_id(&self) -> u32 {
-        self.context_id
-    }
-
-    /// Processes one TPIU frame arriving at `at`. The frame's four
-    /// 32-bit words decode on consecutive MLPU cycles starting at the
-    /// first clock edge at or after `at`.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`TaError`] on malformed frames; packet-level decode
-    /// errors are *counted* (the hardware resynchronizes on A-sync)
-    /// rather than returned, matching the RTL behaviour.
-    pub fn feed_frame(
-        &mut self,
-        frame: &[u8; FRAME_BYTES],
-        at: Picos,
-    ) -> Result<Vec<DecodedAddress>, TaError> {
-        // The TA only sees the PTM's bytes; the deframer has already
-        // dropped null padding.
-        let mut data = [0; FRAME_BYTES - 1];
-        let n = self
-            .deframer
-            .feed_frame_bytes(frame, &mut data)
-            .map_err(TaError::Deframe)?;
-        self.lane_buffer.extend_from_slice(&data[..n]);
-
-        let mut out = Vec::new();
-        let mut word_time = self.clock.next_edge_at_or_after(at);
-        let period = self.clock.freq().period();
-
-        let whole = self.lane_buffer.len() - self.lane_buffer.len() % 4;
-        for k in (0..whole).step_by(4) {
-            let word: [u8; 4] = self.lane_buffer[k..k + 4].try_into().expect("four lanes");
-            self.decode_word(&word, word_time, &mut out);
-            word_time += period;
-        }
-        self.lane_buffer.drain(..whole);
-        Ok(out)
-    }
-
-    /// Flushes any straggler bytes (fewer than a full word) at `at`.
-    pub fn flush(&mut self, at: Picos) -> Vec<DecodedAddress> {
-        let mut out = Vec::new();
-        let n = self.lane_buffer.len();
-        if n > 0 {
-            let mut word = [0u8; 4];
-            word[..n].copy_from_slice(&self.lane_buffer);
-            self.lane_buffer.clear();
-            let t = self.clock.next_edge_at_or_after(at);
-            self.decode_word(&word[..n], t, &mut out);
-        }
-        out
-    }
-
-    /// Decodes one word (the last may be short) in the four byte units,
-    /// appending its addresses to `out`.
-    fn decode_word(&mut self, word: &[u8], at: Picos, out: &mut Vec<DecodedAddress>) {
-        self.stats.words += 1;
-        self.stats.bytes += word.len() as u64;
-        let packets_before = self.decoder.packets_decoded();
-        let first = out.len();
-        // Address available at the end of the cycle.
-        let done = at + self.clock.freq().period();
-        let (stats, context_id) = (&mut self.stats, &mut self.context_id);
-        self.decoder.feed_slice(word, |lane, event| match event {
-            Decoded::Branch {
-                target,
-                mode,
-                exception,
-            } => {
-                stats.addresses += 1;
-                out.push(DecodedAddress {
-                    target,
-                    mode,
-                    exception,
-                    context_id: *context_id,
-                    at: done,
-                    unit: lane as u8,
-                });
-            }
-            Decoded::Context(ctx) => *context_id = ctx,
-            Decoded::Error(_) => stats.decode_errors += 1,
-        });
-        self.stats.packets += self.decoder.packets_decoded() - packets_before;
-        if out.len() - first > 1 {
-            self.stats.multi_address_words += 1;
-        }
-    }
-}
-
-/// Errors from [`TraceAnalyzer::feed_frame`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum TaError {
-    /// The TPIU frame was malformed.
-    Deframe(DeframeError),
-    /// Reserved for packet-stream faults surfaced as hard errors.
-    Decode(DecodeError),
-}
-
-impl std::fmt::Display for TaError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            TaError::Deframe(e) => write!(f, "trace analyzer deframe error: {e}"),
-            TaError::Decode(e) => write!(f, "trace analyzer decode error: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for TaError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            TaError::Deframe(e) => Some(e),
-            TaError::Decode(e) => Some(e),
-        }
+    /// When the addresses of word `word` of a frame's burst leave the
+    /// TA. The burst's words decode on consecutive MLPU cycles from the
+    /// first clock edge at or after `frame_at`, the arrival of the
+    /// frame's last byte, and an address is available at the end of its
+    /// word's cycle.
+    pub fn word_done(&self, frame_at: Picos, word: usize) -> Picos {
+        self.clock.next_edge_at_or_after(frame_at) + self.clock.cycles_to_picos(word as u64 + 1)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rtad_trace::ptm::{Packet, PacketEncoder};
-    use rtad_trace::tpiu::TpiuFormatter;
-    use rtad_trace::TraceId;
+    use crate::{Igm, IgmConfig, TimedVector};
+    use rtad_trace::ptm::{Packet, PacketDecoder, PacketEncoder};
+    use rtad_trace::stream::{TimedByte, TimedTrace};
+    use rtad_trace::tpiu::{TpiuDeframer, TpiuFormatter, FRAME_BYTES};
+    use rtad_trace::{IsetMode, TraceId, VirtAddr};
 
     fn frames_for(packets: &[Packet]) -> Vec<[u8; FRAME_BYTES]> {
         let mut enc = PacketEncoder::new();
         let mut fmt = TpiuFormatter::new();
-        let id = TraceId::new(0x10).unwrap();
         for p in packets {
-            fmt.push_slice(id, &enc.encode(p));
+            fmt.push_slice(TraceId::PTM, &enc.encode(p));
         }
         fmt.flush()
+    }
+
+    /// `frames` as a trace whose frame `j` arrives (last byte) at
+    /// `arrival(j)`.
+    fn timed(frames: &[[u8; FRAME_BYTES]], arrival: impl Fn(usize) -> Picos) -> TimedTrace {
+        TimedTrace {
+            bytes: frames
+                .iter()
+                .enumerate()
+                .flat_map(|(j, f)| f.iter().map(move |&byte| (j, byte)))
+                .map(|(j, byte)| TimedByte {
+                    at: arrival(j),
+                    byte,
+                })
+                .collect(),
+            packet_times: Vec::new(),
+            stats: Default::default(),
+        }
+    }
+
+    /// An IGM that accepts every target in `targets`.
+    fn accept_all(targets: impl IntoIterator<Item = VirtAddr>) -> Igm {
+        let table = targets.into_iter().map(|a| (a, 0)).collect();
+        Igm::new(IgmConfig::token_stream_table(table))
     }
 
     #[test]
@@ -250,63 +102,45 @@ mod tests {
             },
             Packet::branch(VirtAddr::new(0x1080), IsetMode::Arm),
         ];
-        let mut ta = TraceAnalyzer::new(ClockDomain::rtad_mlpu());
-        let mut addrs = Vec::new();
-        for f in frames_for(&packets) {
-            addrs.extend(ta.feed_frame(&f, Picos::ZERO).unwrap());
-        }
-        addrs.extend(ta.flush(Picos::from_micros(1)));
-        assert_eq!(addrs.len(), 2);
-        assert_eq!(addrs[0].target, VirtAddr::new(0x1040));
-        assert_eq!(addrs[1].target, VirtAddr::new(0x1080));
-        assert!(addrs.iter().all(|a| a.context_id == 9));
-    }
-
-    #[test]
-    fn exception_metadata_survives() {
-        let packets = vec![
-            Packet::Async,
-            Packet::BranchAddress {
-                target: VirtAddr::new(0xC000_0000),
-                mode: IsetMode::Arm,
-                exception: Some(0x11),
-            },
-        ];
-        let mut ta = TraceAnalyzer::new(ClockDomain::rtad_mlpu());
-        let mut addrs = Vec::new();
-        for f in frames_for(&packets) {
-            addrs.extend(ta.feed_frame(&f, Picos::ZERO).unwrap());
-        }
-        addrs.extend(ta.flush(Picos::from_micros(1)));
-        assert_eq!(addrs.len(), 1);
-        assert_eq!(addrs[0].exception, Some(0x11));
+        let trace = timed(&frames_for(&packets), |_| Picos::ZERO);
+        let mut igm = accept_all([0x1000, 0x1040, 0x1080].map(VirtAddr::new));
+        let out = igm.process_trace(&trace);
+        let got: Vec<_> = out.vectors.iter().map(|v| v.target).collect();
+        assert_eq!(got, [VirtAddr::new(0x1040), VirtAddr::new(0x1080)]);
+        assert!(out.vectors.iter().all(|v| v.context_id == 9));
+        assert_eq!(out.stats.addresses, 2);
     }
 
     #[test]
     fn words_decode_on_consecutive_cycles() {
-        // 64 single-byte near branches => many words, 4 bytes each.
+        // 64 single-byte near branches => many words, 4 addresses each.
         let mut packets = vec![Packet::Async];
-        packets.push(Packet::branch(VirtAddr::new(0x40), IsetMode::Arm));
-        for _ in 0..63 {
-            packets.push(Packet::branch(VirtAddr::new(0x40), IsetMode::Arm));
-        }
-        let mut ta = TraceAnalyzer::new(ClockDomain::rtad_mlpu());
-        let mut addrs = Vec::new();
-        for f in frames_for(&packets) {
-            addrs.extend(ta.feed_frame(&f, Picos::ZERO).unwrap());
-        }
-        addrs.extend(ta.flush(Picos::from_millis(1)));
-        assert_eq!(addrs.len(), 64);
-        // Multiple addresses complete within single words.
-        assert!(ta.stats().multi_address_words > 0);
-        // Unit indices are per-lane.
-        assert!(addrs.iter().all(|a| a.unit < 4));
+        packets.extend((0..64).map(|_| Packet::branch(VirtAddr::new(0x40), IsetMode::Arm)));
+        let frames = frames_for(&packets);
+        let clock = ClockDomain::rtad_mlpu();
+        let period = clock.freq().period();
+        // Frames far apart: every burst starts on an idle P2S.
+        let arrival = |j: usize| Picos::from_micros(j as u64);
+        let mut igm = accept_all([VirtAddr::new(0x40)]);
+        let out = igm.process_trace(&timed(&frames, arrival));
+        assert_eq!(out.vectors.len(), 64);
+        // Within a burst the serialized vectors leave one cycle apart,
+        // although up to four complete in one TA cycle.
+        let burst: Vec<&TimedVector> = out
+            .vectors
+            .iter()
+            .filter(|v| v.at > arrival(1) && v.at < arrival(2))
+            .collect();
+        assert!(burst.len() > 4, "a frame of one-byte packets");
+        assert!(burst.windows(2).all(|w| w[1].at == w[0].at + period));
     }
 
-    /// Every address names the lane whose byte completed its packet and
-    /// leaves the TA one cycle after the word holding that byte starts,
-    /// exactly where a byte-wise reference decode of the same bytes
-    /// places it.
+    /// Every vector leaves where a byte-wise reference decode of the
+    /// same bytes places it: its packet completes in some TA unit (the
+    /// byte's lane) of some word; that word leaves the TA one cycle
+    /// after it starts; the burst's survivors leave the P2S one per
+    /// cycle from the later of the port's next free slot and the TA
+    /// time of the burst's first address; and the IVG adds two cycles.
     #[test]
     fn units_and_word_times_follow_the_completing_byte() {
         // Targets scattered so packets of every length end in every lane.
@@ -321,12 +155,9 @@ mod tests {
         let frames = frames_for(&packets);
 
         let clock = ClockDomain::rtad_mlpu();
-        let arrival = |j: usize| clock.cycles_to_picos(8 * j as u64);
-        let mut ta = TraceAnalyzer::new(clock.clone());
-        let mut got = Vec::new();
-        for (j, f) in frames.iter().enumerate() {
-            got.extend(ta.feed_frame(f, arrival(j)).unwrap());
-        }
+        let period = clock.freq().period();
+        // Frames closer than their bursts drain, so the P2S queues.
+        let arrival = |j: usize| clock.cycles_to_picos(3 * j as u64);
 
         // Reference: the deframed bytes, decoded one at a time. Byte `k`
         // sits in word `k / 4`, which the frame that completes it
@@ -338,47 +169,83 @@ mod tests {
         for f in &frames {
             words_before.push(bytes.len() / 4);
             let mut data = [0; FRAME_BYTES - 1];
-            let n = deframer.feed_frame_bytes(f, &mut data).unwrap();
+            let n = deframer.feed_frame_bytes(f, &mut data).unwrap().ptm;
             bytes.extend_from_slice(&data[..n]);
         }
         words_before.push(bytes.len() / 4);
+        let last_byte = arrival(frames.len() - 1);
         let mut dec = PacketDecoder::new();
-        let mut want = Vec::new();
+        let mut completions = Vec::new();
         for (k, &b) in bytes.iter().enumerate() {
             let Some(Packet::BranchAddress { target, .. }) = dec.feed(b).unwrap() else {
                 continue;
             };
             let word = k / 4;
-            if word >= words_before[frames.len()] {
-                continue; // a straggler word, left for `flush`
-            }
-            let j = words_before.iter().rposition(|&w| w <= word).unwrap();
-            let start = clock.next_edge_at_or_after(arrival(j));
-            let at = start + clock.cycles_to_picos((word - words_before[j]) as u64 + 1);
-            want.push((target, (k % 4) as u8, at));
+            // A straggler word decodes at end of trace as a burst of its
+            // own, one cycle after the last byte's edge.
+            let (burst, ta) = match words_before.iter().rposition(|&w| w <= word) {
+                Some(j) if j < frames.len() => {
+                    let start = clock.next_edge_at_or_after(arrival(j));
+                    (
+                        j,
+                        start + clock.cycles_to_picos((word - words_before[j]) as u64 + 1),
+                    )
+                }
+                _ => (
+                    frames.len(),
+                    clock.next_edge_at_or_after(last_byte) + period,
+                ),
+            };
+            completions.push((target, (k % 4) as u8, burst, ta));
         }
-        let got: Vec<_> = got.iter().map(|a| (a.target, a.unit, a.at)).collect();
+        assert!(
+            (0..4).all(|u| completions.iter().any(|c| c.1 == u)),
+            "every lane completes packets"
+        );
+        let (mut next_free, mut want) = (Picos::ZERO, Vec::new());
+        for (i, &(target, _, burst, ta)) in completions.iter().enumerate() {
+            let departure = if i == 0 || completions[i - 1].2 != burst {
+                clock.next_edge_at_or_after(next_free.max(ta))
+            } else {
+                next_free
+            };
+            next_free = departure + period;
+            want.push((target, departure + clock.cycles_to_picos(2)));
+        }
+
+        let mut igm = accept_all(completions.iter().map(|c| c.0));
+        let out = igm.process_trace(&timed(&frames, arrival));
+        let got: Vec<_> = out.vectors.iter().map(|v| (v.target, v.at)).collect();
         assert_eq!(got, want);
         assert!(
-            (0..4).all(|u| got.iter().any(|g| g.1 == u)),
-            "every lane completes packets"
+            want.iter()
+                .zip(&completions)
+                .any(|(w, c)| w.1 > c.3 + clock.cycles_to_picos(2)),
+            "some vectors queue in the P2S"
         );
     }
 
     #[test]
     fn decode_errors_are_counted_not_fatal() {
-        let id = TraceId::new(0x10).unwrap();
         let mut fmt = TpiuFormatter::new();
         // Garbage byte (invalid header 0x02), then a clean A-sync.
-        fmt.push(id, 0x02);
-        fmt.push_slice(id, &[0, 0, 0, 0, 0, 0x80]);
-        let mut ta = TraceAnalyzer::new(ClockDomain::rtad_mlpu());
-        for f in fmt.flush() {
-            ta.feed_frame(&f, Picos::ZERO).unwrap();
-        }
-        ta.flush(Picos::from_micros(1));
-        assert_eq!(ta.stats().decode_errors, 1);
-        assert_eq!(ta.stats().packets, 1); // the A-sync
+        fmt.push(TraceId::PTM, 0x02);
+        fmt.push_slice(TraceId::PTM, &[0, 0, 0, 0, 0, 0x80]);
+        let trace = timed(&fmt.flush(), |_| Picos::ZERO);
+        let out = accept_all([VirtAddr::new(4)]).process_trace(&trace);
+        assert_eq!(out.stats.decode_errors, 1);
+        assert_eq!(out.stats.packets, 1); // the A-sync
+    }
+
+    #[test]
+    fn word_done_counts_cycles_from_the_arrival_edge() {
+        let ta = TraceAnalyzer::new(ClockDomain::rtad_mlpu());
+        // 125 MHz: edges every 8 ns; a frame at 9 ns starts at 16 ns.
+        assert_eq!(ta.word_done(Picos::from_nanos(9), 0), Picos::from_nanos(24));
+        assert_eq!(
+            ta.word_done(Picos::from_nanos(16), 2),
+            Picos::from_nanos(40)
+        );
     }
 
     #[test]

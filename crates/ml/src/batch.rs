@@ -13,10 +13,10 @@
 //!
 //! **Bit-identity contract.** Every batched score equals the scalar
 //! path's score bit for bit. `matmul_lanes` computes each output with
-//! exactly [`Matrix::matvec`]'s semantics (one `f64` dot per element,
-//! accumulated in index order and rounded to `f32` once); the LSTM's
-//! input-projection table holds `matvec` results computed once per
-//! token; and every elementwise stage (bias add, gate nonlinearities,
+//! exactly [`Matrix::matvec_t_into`]'s semantics on the transpose (one
+//! `f64` dot per element, accumulated in index order and rounded to
+//! `f32` once); the LSTM's input-projection table holds those products
+//! computed once per token; and every elementwise stage (bias add, gate nonlinearities,
 //! cell update, clipped softmax, squared-error reduction) reuses the
 //! scalar path's operations in the scalar path's order. The property
 //! tests in `tests/batch_equivalence.rs` pin this across random batch
@@ -29,7 +29,7 @@
 //! independent — a stream ending mid-batch simply stops contributing a
 //! lane; the others are unaffected.
 //!
-//! [`Matrix::matvec`]: crate::Matrix::matvec
+//! [`Matrix::matvec_t_into`]: crate::Matrix::matvec_t_into
 //! [`Matrix::matmul_lanes`]: crate::Matrix::matmul_lanes
 
 use std::iter::repeat_n;

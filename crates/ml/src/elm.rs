@@ -190,8 +190,7 @@ impl VectorModel for Elm {
     }
 }
 
-/// `sigmoid(W·x + b)` into `out`, with `W·x` through `w_t = Wᵀ`
-/// (bit-identical to `W.matvec(x)`).
+/// `sigmoid(W·x + b)` into `out`, with `W·x` through `w_t = Wᵀ`.
 fn hidden_features(w_t: &Matrix, b: &[f32], x: &[f32], out: &mut [f32]) {
     w_t.matvec_t_into(x, out);
     for (a, bias) in out.iter_mut().zip(b) {

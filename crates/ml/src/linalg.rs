@@ -22,7 +22,9 @@ use serde::{Deserialize, Serialize};
 ///
 /// let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
 /// let x = vec![1.0, 1.0];
-/// assert_eq!(a.matvec(&x), vec![3.0, 7.0]);
+/// // `aᵀ · x`; `a.transpose().matvec_t(&x)` is `a · x`.
+/// assert_eq!(a.matvec_t(&x), vec![4.0, 6.0]);
+/// assert_eq!(a.transpose().matvec_t(&x), vec![3.0, 7.0]);
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Matrix {
@@ -122,39 +124,6 @@ impl Matrix {
         &self.data[i * self.cols..(i + 1) * self.cols]
     }
 
-    /// `self * x` for a column vector `x`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != cols`.
-    pub fn matvec(&self, x: &[f32]) -> Vec<f32> {
-        let mut out = Vec::with_capacity(self.rows);
-        self.matvec_into(x, &mut out);
-        out
-    }
-
-    /// `self * x` into a caller-owned buffer (cleared, then filled with
-    /// `rows` elements). Bit-identical to [`Matrix::matvec`]; reusing
-    /// `out` across calls keeps the hot path off the heap.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != cols`.
-    pub fn matvec_into(&self, x: &[f32], out: &mut Vec<f32>) {
-        assert_eq!(x.len(), self.cols, "matvec dimension mismatch");
-        out.clear();
-        out.reserve(self.rows);
-        // chunks_exact + zip compile to index-free loops (the length
-        // relation is known up front), unlike per-element indexing.
-        for row in self.data.chunks_exact(self.cols) {
-            let mut acc = 0f64;
-            for (a, b) in row.iter().zip(x) {
-                acc += f64::from(*a) * f64::from(*b);
-            }
-            out.push(acc as f32);
-        }
-    }
-
     /// `selfᵀ * x` (saves materializing the transpose in hot paths).
     /// Allocating wrapper over [`Matrix::matvec_t_into`].
     ///
@@ -174,7 +143,8 @@ impl Matrix {
     /// Output `j` is one `f64` sum from `+0.0` over the rows in order,
     /// `x[0]·self[0][j] + x[1]·self[1][j] + …`, rounded to `f32` once —
     /// the [`Matrix::matmul_lanes`] contract. So for `t = m.transpose()`,
-    /// `t.matvec_t_into(x, out)` equals `m.matvec(x)` bit for bit.
+    /// `t.matvec_t_into(x, out)` is `m · x`, each output one row-order
+    /// `f64` dot rounded once.
     /// Storing a weight matrix transposed and multiplying through this
     /// kernel lets the independent outputs advance side by side: blocks
     /// of `COL_BLOCK` columns keep their accumulators in vector
@@ -231,8 +201,8 @@ impl Matrix {
     /// lane as in a wavefront. Every output element is one `f64` dot
     /// product accumulated in column order and rounded to `f32` once.
     /// Each `f32 × f32` product is exact in `f64`, so column `b` of the
-    /// result equals `self.matvec(column b of x)` bit for bit, whatever
-    /// the lane count. (Plain [`Matrix::matmul`] rounds to `f32` after
+    /// result equals `self.transpose().matvec_t(column b of x)` bit for
+    /// bit, whatever the lane count. (Plain [`Matrix::matmul`] rounds to `f32` after
     /// every accumulation step — different semantics, kept for the
     /// training path that was tuned against it.)
     ///
@@ -501,13 +471,30 @@ impl fmt::Display for Matrix {
 mod tests {
     use super::*;
 
+    /// The unblocked row-order reference `m · x`: output `i` is one
+    /// `f64` dot of row `i` with `x` in index order, rounded to `f32`
+    /// once. The product kernels are checked against it.
+    fn matvec(m: &Matrix, x: &[f32]) -> Vec<f32> {
+        assert_eq!(x.len(), m.cols(), "reference dimension mismatch");
+        (0..m.rows())
+            .map(|i| {
+                let mut acc = 0f64;
+                for (j, &xv) in x.iter().enumerate() {
+                    acc += f64::from(m[(i, j)]) * f64::from(xv);
+                }
+                acc as f32
+            })
+            .collect()
+    }
+
     #[test]
     fn matvec_and_transpose_agree() {
         let a = Matrix::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]);
         let x = vec![1.0, 0.0, -1.0];
-        assert_eq!(a.matvec(&x), vec![-2.0, -2.0]);
+        assert_eq!(matvec(&a, &x), vec![-2.0, -2.0]);
+        assert_eq!(a.transpose().matvec_t(&x), vec![-2.0, -2.0]);
         let y = vec![1.0, 1.0];
-        assert_eq!(a.matvec_t(&y), a.transpose().matvec(&y));
+        assert_eq!(a.matvec_t(&y), matvec(&a.transpose(), &y));
     }
 
     #[test]
@@ -549,9 +536,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "dimension mismatch")]
+    #[should_panic(expected = "matvec_t dimension mismatch")]
     fn matvec_checks_dims() {
-        Matrix::identity(2).matvec(&[1.0, 2.0, 3.0]);
+        Matrix::identity(2).matvec_t(&[1.0, 2.0, 3.0]);
     }
 
     #[test]
@@ -593,16 +580,7 @@ mod tests {
         let x: Vec<f32> = (0..9).map(|i| i as f32 * 0.3 - 1.0).collect();
         let y: Vec<f32> = (0..13).map(|i| i as f32 * 0.2 - 1.3).collect();
 
-        let mv_ref: Vec<f32> = (0..a.rows())
-            .map(|i| {
-                let mut acc = 0f64;
-                for j in 0..a.cols() {
-                    acc += f64::from(a[(i, j)]) * f64::from(x[j]);
-                }
-                acc as f32
-            })
-            .collect();
-        assert_eq!(a.matvec(&x), mv_ref);
+        assert_eq!(a.transpose().matvec_t(&x), matvec(&a, &x));
 
         let mut mvt_ref = vec![0f64; a.cols()];
         for i in 0..a.rows() {
@@ -634,8 +612,9 @@ mod tests {
         x.chunks_exact(lanes).map(|row| row[b]).collect()
     }
 
-    /// Column `b` of `matmul_lanes` must equal `self.matvec(lane b)` bit
-    /// for bit — the contract batched inference relies on.
+    /// Column `b` of `matmul_lanes` must equal the row-order reference
+    /// on lane `b` bit for bit — the contract batched inference relies
+    /// on.
     #[test]
     fn matmul_lanes_columns_match_matvec() {
         use rand::SeedableRng;
@@ -649,7 +628,7 @@ mod tests {
         for b in 0..19 {
             assert_eq!(
                 lane(&out, 19, b),
-                w.matvec(&lane(xs.as_slice(), 19, b)),
+                matvec(&w, &lane(xs.as_slice(), 19, b)),
                 "lane {b}"
             );
         }
@@ -705,7 +684,8 @@ mod tests {
     /// (one `f64` sum per output over the rows in order, rounded once)
     /// at odd and even shapes on both sides of the column block, and on
     /// signed zeros and subnormals; and `m.transpose()` through it must
-    /// equal `m.matvec` — the identity the stored transposes rely on.
+    /// equal the row-order reference on `m` — the identity the stored
+    /// transposes rely on.
     #[test]
     fn matvec_t_into_matches_unblocked_reference() {
         use rand::{Rng, SeedableRng};
@@ -762,7 +742,7 @@ mod tests {
             let y: Vec<f32> = (0..k).map(|j| x[j % n] * 0.5 - 0.25).collect();
             let mut rows = vec![f32::NAN; n];
             t.matvec_t_into(&y, &mut rows);
-            assert_eq!(bits(&rows), bits(&m.matvec(&y)), "shape ({n},{k})");
+            assert_eq!(bits(&rows), bits(&matvec(&m, &y)), "shape ({n},{k})");
         }
     }
 
@@ -771,22 +751,6 @@ mod tests {
     fn matvec_t_into_checks_output_length() {
         let mut out = vec![0.0; 3];
         Matrix::identity(2).matvec_t_into(&[1.0, 2.0], &mut out);
-    }
-
-    /// `matvec_into` must fill exactly what `matvec` returns and must
-    /// not allocate when the buffer already has capacity.
-    #[test]
-    fn matvec_into_matches_and_reuses_buffer() {
-        use rand::SeedableRng;
-        let mut rng = rand_chacha::ChaCha12Rng::seed_from_u64(29);
-        let mut a = Matrix::zeros(17, 13);
-        a.randomize(&mut rng, 2.0);
-        let x: Vec<f32> = (0..13).map(|i| i as f32 * 0.7 - 4.0).collect();
-        let mut out = Vec::with_capacity(17);
-        let ptr = out.as_ptr();
-        a.matvec_into(&x, &mut out);
-        assert_eq!(out, a.matvec(&x));
-        assert_eq!(out.as_ptr(), ptr, "pre-sized buffer must not reallocate");
     }
 
     #[test]

@@ -140,8 +140,8 @@ pub struct Lstm {
     /// Output biases, `vocab`.
     b_out: Box<[f32]>,
     /// Input projection per token, `vocab × 4*hidden`: row `t` is
-    /// `w · embedding[t]`, bit for bit what [`Matrix::matvec`] gives,
-    /// so a step gathers it instead of multiplying. Derived from `w`
+    /// `w · embedding[t]` (one row-order `f64` dot per output, rounded
+    /// once), so a step gathers it instead of multiplying. Derived from `w`
     /// and `embedding`; rebuilt whenever they change. Boxed, like the
     /// fixed-length biases and the transposes, so the model stays small
     /// enough to sit unboxed in serving-model enums beside the ELM.
@@ -326,7 +326,7 @@ impl Lstm {
     }
 
     /// The input projection table (`vocab × 4*hidden`): row `t` equals
-    /// `w().matvec(embedding().row(t))` bit for bit.
+    /// `w() · embedding().row(t)` bit for bit.
     pub(crate) fn wx_table(&self) -> &Matrix {
         &self.wx_table
     }
@@ -694,8 +694,8 @@ impl Trainer {
 }
 
 /// The per-token input projection table: row `t` is
-/// `w.matvec(embedding.row(t))`, the `W·x` term of a step on token `t`,
-/// computed through `wᵀ` (bit-identical, one gate row per lane).
+/// `w · embedding.row(t)`, the `W·x` term of a step on token `t`,
+/// computed through `wᵀ` (one gate row per lane).
 fn project_embeddings(w: &Matrix, embedding: &Matrix) -> Box<Matrix> {
     let w_t = w.transpose();
     let mut table = Matrix::zeros(embedding.rows(), w.rows());
@@ -869,7 +869,15 @@ mod tests {
             assert_eq!(table.rows(), lstm.config().vocab);
             assert_eq!(table.cols(), 4 * lstm.config().hidden);
             for t in 0..lstm.config().vocab {
-                let wx = lstm.w().matvec(lstm.embedding().row(t));
+                // Row-order reference: one `f64` dot per gate row.
+                let x = lstm.embedding().row(t);
+                let w = lstm.w();
+                let wx: Vec<f32> = (0..w.rows())
+                    .map(|i| {
+                        let dot = w.row(i).iter().zip(x);
+                        dot.fold(0f64, |acc, (&a, &b)| acc + f64::from(a) * f64::from(b)) as f32
+                    })
+                    .collect();
                 let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
                 assert_eq!(bits(table.row(t)), bits(&wx), "token {t}");
             }

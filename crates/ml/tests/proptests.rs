@@ -89,8 +89,9 @@ proptest! {
         prop_assert!(obj_solution <= objective(&perturbed) + 1e-4);
     }
 
-    /// Matrix transpose is an involution and matvec agrees with matmul
-    /// against a column vector.
+    /// Matrix transpose is an involution, and `a · x` through the
+    /// transposed single-vector kernel equals the unblocked row-order
+    /// dot and agrees with matmul against a column vector.
     #[test]
     fn matrix_laws(
         entries in proptest::collection::vec(-3.0f32..3.0, 12),
@@ -100,8 +101,14 @@ proptest! {
         prop_assert_eq!(a.transpose().transpose(), a.clone());
         let col = Matrix::from_vec(4, 1, x.clone());
         let via_mm = a.matmul(&col);
-        let via_mv = a.matvec(&x);
+        let via_mv = a.transpose().matvec_t(&x);
         for i in 0..3 {
+            let row_order = a
+                .row(i)
+                .iter()
+                .zip(&x)
+                .fold(0f64, |acc, (&w, &v)| acc + f64::from(w) * f64::from(v));
+            prop_assert_eq!(via_mv[i].to_bits(), (row_order as f32).to_bits());
             prop_assert!((via_mm[(i, 0)] - via_mv[i]).abs() < 1e-4);
         }
     }

@@ -199,6 +199,18 @@ mod tests {
         assert_eq!(b.vectorize, Picos::from_nanos(16));
     }
 
+    /// Fig. 7's RTAD breakdown, exactly: a change to the timed IGM
+    /// (TA word times, P2S departures, IVG exits) or to the MCM's
+    /// delivery shows here. Recorded from the IGM whose P2S was a
+    /// simulated FIFO fed by its own TA loop.
+    #[test]
+    fn rtad_breakdown_is_pinned() {
+        let b = measure_rtad_transfer(&sample_run(), PtmConfig::rtad());
+        assert_eq!(b.collect, Picos::from_picos(3_129_978));
+        assert_eq!(b.vectorize, Picos::from_picos(16_000));
+        assert_eq!(b.deliver, Picos::from_picos(848_000));
+    }
+
     #[test]
     fn rtad_is_an_order_of_magnitude_faster_than_sw() {
         let sw = measure_sw_transfer(&SwTransferModel::rtad_prototype(), &ClockDomain::rtad_cpu());

@@ -26,7 +26,7 @@ use rtad_soc::{
     SparsePipeline, VerdictPolicy,
 };
 use rtad_trace::hostile::{damage, Damage};
-use rtad_trace::{BranchKind, BranchRecord, PtmConfig, StreamEncoder, VirtAddr};
+use rtad_trace::{BranchKind, BranchRecord, PtmConfig, StreamEncoder, TraceId, VirtAddr};
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
@@ -316,7 +316,7 @@ fn hot_paths_are_allocation_free_in_steady_state() {
     // malformed branch packets, mid-frame cuts). Decode errors and
     // resynchronization, ring storage and dense windows going back to
     // the plane's pools must all stay allocation-free once warm.
-    let id = PtmConfig::rtad().trace_id;
+    let id = TraceId::PTM;
     let mixed: Vec<Vec<u8>> = (0..8u64)
         .map(|s| {
             if s % 2 == 1 {

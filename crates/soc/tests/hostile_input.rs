@@ -27,7 +27,7 @@ use rtad_soc::{
     SparseOutcome, SparsePipeline, VerdictPolicy,
 };
 use rtad_trace::hostile::{damage, Damage};
-use rtad_trace::{BranchKind, BranchRecord, PtmConfig, VirtAddr};
+use rtad_trace::{BranchKind, BranchRecord, TraceId, VirtAddr};
 
 /// Streams in the mixed population; every third one is damaged.
 const STREAMS: usize = 12;
@@ -118,7 +118,7 @@ fn streams() -> Vec<Vec<u8>> {
                 .collect()
         })
         .collect();
-    let id = PtmConfig::rtad().trace_id;
+    let id = TraceId::PTM;
     encode_streams(&runs, 1)
         .into_iter()
         .enumerate()

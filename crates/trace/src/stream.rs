@@ -58,8 +58,6 @@ pub struct PtmConfig {
     pub flush_threshold: usize,
     /// Trace-port width in bytes per trace-clock cycle (ZC706: 32-bit).
     pub port_bytes_per_cycle: usize,
-    /// CoreSight trace-source ID of the PTM.
-    pub trace_id: TraceId,
     /// The CPU clock (branch retirement timestamps are in its cycles).
     pub cpu_clock: ClockDomain,
     /// The trace-port clock (drain rate).
@@ -84,7 +82,6 @@ impl PtmConfig {
             fifo_bytes: 512,
             flush_threshold: 280,
             port_bytes_per_cycle: 4,
-            trace_id: TraceId::new(0x10).expect("0x10 is a valid trace id"),
             cpu_clock: ClockDomain::rtad_cpu(),
             trace_clock: ClockDomain::rtad_mlpu(),
         }
@@ -398,7 +395,6 @@ impl StreamEncoder {
     pub fn encode_run(&mut self, run: &[BranchRecord]) -> TimedTrace {
         let packets = self.encode_packets(run);
         let cpu = self.config.cpu_clock.clone();
-        let trace_id = self.config.trace_id;
 
         let mut fifo = PtmFifoModel::new(self.config.clone());
         let mut formatter = TpiuFormatter::new();
@@ -424,7 +420,7 @@ impl StreamEncoder {
             let result = fifo.drain(now);
             *total_wait += result.total_wait;
             *waited_bytes += result.bytes as u64;
-            formatter.push_slice(trace_id, &pending_wire[..result.bytes]);
+            formatter.push_slice(TraceId::PTM, &pending_wire[..result.bytes]);
             pending_wire.drain(..result.bytes);
             // Frames leave the port at the drain times; approximate
             // each complete frame's bytes as emitted at the drain

@@ -59,6 +59,11 @@ impl TraceId {
     /// The null (padding) source.
     pub const NULL: TraceId = TraceId(0);
 
+    /// The PTM's source ID: the one source the IGM serves. The encoder
+    /// frames its packets under this ID and the IGM keeps only this
+    /// ID's bytes.
+    pub const PTM: TraceId = TraceId(0x10);
+
     /// Creates a trace ID.
     ///
     /// # Errors
@@ -309,6 +314,15 @@ impl fmt::Display for DeframeError {
 
 impl Error for DeframeError {}
 
+/// What [`TpiuDeframer::feed_frame_bytes`] made of one frame.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct FrameBytes {
+    /// PTM data bytes written to the output.
+    pub ptm: usize,
+    /// Data bytes of other non-null sources, skipped.
+    pub foreign: usize,
+}
+
 /// The receive side: unpacks formatter frames back into `(TraceId, byte)`
 /// pairs, dropping null-source padding. This is the first thing the IGM
 /// does with the 32-bit TPIU input port.
@@ -342,11 +356,11 @@ impl TpiuDeframer {
         Ok(out)
     }
 
-    /// Unpacks one 16-byte frame's data bytes into `out` and returns how
-    /// many there are: the receive path of a consumer that serves one
-    /// trace source and has no use for the ID. Allocation-free. The
-    /// bytes are exactly those of [`feed_frame`](Self::feed_frame)'s
-    /// pairs.
+    /// Unpacks the PTM's data bytes of one 16-byte frame into `out`:
+    /// the receive path of the IGM, which serves one trace source
+    /// ([`TraceId::PTM`]). Bytes of other non-null sources are skipped
+    /// and counted. Allocation-free. The PTM bytes are exactly those of
+    /// [`feed_frame`](Self::feed_frame)'s pairs with that ID.
     ///
     /// # Errors
     ///
@@ -357,13 +371,21 @@ impl TpiuDeframer {
         &mut self,
         frame: &[u8; FRAME_BYTES],
         out: &mut [u8; FRAME_BYTES - 1],
-    ) -> Result<usize, DeframeError> {
-        let mut n = 0;
-        self.deframe(frame, |_, b| {
-            out[n] = b;
-            n += 1;
+    ) -> Result<FrameBytes, DeframeError> {
+        // Branch-free: every data byte is written, and only the PTM's
+        // advance the count, so a foreign byte is overwritten by the
+        // next one. A branch per byte here cost about 7% of the serving
+        // decode.
+        let (mut ptm, mut seen) = (0, 0);
+        self.deframe(frame, |id, b| {
+            out[ptm] = b;
+            ptm += usize::from(id == TraceId::PTM);
+            seen += 1;
         })?;
-        Ok(n)
+        Ok(FrameBytes {
+            ptm,
+            foreign: seen - ptm,
+        })
     }
 
     /// The one deframer core: walks the frame's slots, tracking ID
@@ -523,7 +545,7 @@ mod tests {
 
     #[test]
     fn bytes_only_entry_matches_pairs() {
-        let (a, b) = (id(0x10), id(0x20));
+        let (a, b) = (TraceId::PTM, id(0x20));
         let input: Vec<_> = (0u8..90)
             .map(|i| (if i % 7 < 4 { a } else { b }, i))
             .collect();
@@ -540,9 +562,14 @@ mod tests {
                 pairs.feed_frame(frame),
                 bytes.feed_frame_bytes(frame, &mut data),
             ) {
-                (Ok(want), Ok(n)) => {
-                    let want: Vec<u8> = want.iter().map(|&(_, b)| b).collect();
-                    assert_eq!(data[..n], want[..]);
+                (Ok(want), Ok(got)) => {
+                    let ptm: Vec<u8> = want
+                        .iter()
+                        .filter(|&&(src, _)| src == TraceId::PTM)
+                        .map(|&(_, b)| b)
+                        .collect();
+                    assert_eq!(data[..got.ptm], ptm[..]);
+                    assert_eq!(got.foreign, want.len() - ptm.len());
                 }
                 (want, got) => assert_eq!(want.map(|_| ()), got.map(|_| ())),
             }

@@ -77,7 +77,7 @@ fn pinned_damage(k: usize) -> Vec<Damage> {
 }
 
 fn hostile_stream(k: usize) -> Vec<u8> {
-    let id = PtmConfig::rtad().trace_id;
+    let id = TraceId::PTM;
     let seed = 0x4057_11E0 + k as u64;
     damage(&clean_stream(seed, 1500), id, seed, &pinned_damage(k))
 }
@@ -94,8 +94,8 @@ fn fnv(mut h: u64, bytes: &[u8]) -> u64 {
 
 /// What byte-wise decode makes of one stream: whole frames deframe
 /// (a rejected frame is dropped, as the IGM drops it), and every
-/// surviving byte is fed to the packet decoder. The digest folds every
-/// deframe error, packet and decode error in order.
+/// surviving byte of the PTM source is fed to the packet decoder. The
+/// digest folds every deframe error, packet and decode error in order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Transcript {
     digest: u64,
@@ -118,7 +118,7 @@ fn transcript(bytes: &[u8]) -> Transcript {
                 continue;
             }
         };
-        for (_, byte) in payload {
+        for (_, byte) in payload.into_iter().filter(|&(id, _)| id == TraceId::PTM) {
             match decoder.feed(byte) {
                 Ok(Some(p)) => digest = fnv(digest, format!("{p:?}").as_bytes()),
                 Ok(None) => {}
@@ -139,11 +139,14 @@ fn transcript(bytes: &[u8]) -> Transcript {
 
 /// `(digest, bytes_consumed, packets_decoded, decode_errors)` of
 /// [`transcript`] over `hostile_stream(k)`, recorded from the byte-wise
-/// decoder before it gained a slice entry point.
+/// decoder before it gained a slice entry point. Stream 2 was re-pinned
+/// when the transcript began keeping only the PTM source's bytes: a
+/// damaged frame there announces a non-null foreign ID, whose bytes were
+/// decoded before (`0xfa6f_83be_daea_b017, 2536, 829, 27`).
 const HOSTILE_PINS: [(u64, u64, u64, u64); 13] = [
     (0x9651_627b_f5bb_3972, 3110, 1042, 27),
     (0x1628_c0cc_dac1_d888, 2556, 858, 14),
-    (0xfa6f_83be_daea_b017, 2536, 829, 27),
+    (0x7961_2b08_0e86_80c1, 2497, 816, 28),
     (0x463a_753a_f410_a504, 2442, 848, 68),
     (0xa816_45af_ca8b_3748, 3106, 1013, 3),
     (0xdd57_dafa_92d3_5bc9, 3950, 1297, 3),
@@ -229,8 +232,8 @@ fn hostile_payload(k: usize) -> Vec<u8> {
     for frame in hostile_stream(k).chunks_exact(FRAME_BYTES) {
         let frame: &[u8; FRAME_BYTES] = frame.try_into().expect("frame-sized");
         let mut data = [0; FRAME_BYTES - 1];
-        if let Ok(n) = deframer.feed_frame_bytes(frame, &mut data) {
-            out.extend_from_slice(&data[..n]);
+        if let Ok(got) = deframer.feed_frame_bytes(frame, &mut data) {
+            out.extend_from_slice(&data[..got.ptm]);
         }
     }
     out

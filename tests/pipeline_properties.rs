@@ -57,7 +57,7 @@ proptest! {
             prop_assert_eq!(v.target, r.target);
         }
         prop_assert!(out.vectors.windows(2).all(|w| w[0].at <= w[1].at));
-        prop_assert_eq!(out.stats.p2s_fifo.dropped, 0);
+        prop_assert_eq!(out.stats.p2s_dropped, 0);
     }
 
     /// The mapper filters exactly the complement of the table, for any
