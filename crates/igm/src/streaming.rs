@@ -154,7 +154,7 @@ pub(crate) trait Timing {
 }
 
 /// The serving path's observer: it times nothing.
-pub(crate) struct Untimed;
+struct Untimed;
 
 impl Timing for Untimed {
     #[inline(always)]
@@ -312,7 +312,7 @@ impl IgmSession {
 
     /// [`finish_pooled`](Self::finish_pooled) under a timing model: the
     /// carried bytes decode as one word, burst 0 of their own.
-    pub(crate) fn finish_timed(
+    fn finish_timed(
         &mut self,
         shared: &IgmShared,
         pool: &mut Vec<Vec<f32>>,
@@ -328,7 +328,7 @@ impl IgmSession {
     /// bytes and decodes them in one pass. Frame `i` of the pass ends
     /// burst `i` at its last completed word; a malformed frame is
     /// dropped whole, so its burst is empty.
-    pub(crate) fn push_frames(
+    fn push_frames(
         &mut self,
         shared: &IgmShared,
         frames: &[u8],
@@ -475,25 +475,21 @@ impl StreamingIgm {
     }
 
     /// Decodes whole frames (at most [`FRAMES_PER_PASS`]) under a timing
-    /// model.
+    /// model. Its dense windows never come back, so it draws on no pool.
     pub(crate) fn push_frames_timed(
         &mut self,
         frames: &[u8],
         out: &mut Vec<StreamedVector>,
         timing: &mut impl Timing,
     ) {
-        let mut pool = std::mem::take(&mut self.session.pool);
         self.session
-            .push_frames(&self.shared, frames, &mut pool, out, timing);
-        self.session.pool = pool;
+            .push_frames(&self.shared, frames, &mut Vec::new(), out, timing);
     }
 
     /// [`finish`](Self::finish) under a timing model.
     pub(crate) fn finish_timed(&mut self, out: &mut Vec<StreamedVector>, timing: &mut impl Timing) {
-        let mut pool = std::mem::take(&mut self.session.pool);
         self.session
-            .finish_timed(&self.shared, &mut pool, out, timing);
-        self.session.pool = pool;
+            .finish_timed(&self.shared, &mut Vec::new(), out, timing);
     }
 }
 
